@@ -186,8 +186,8 @@ impl BenchArgs {
             std::process::exit(0);
         }
         // Every harness binary gets graceful interruption: the first
-        // SIGINT/SIGTERM lets the in-flight points finish and journals the
-        // rest (exit 130 with a resume hint); the second kills as usual.
+        // SIGINT/SIGTERM lets the in-flight points finish and skips the rest
+        // (exit 130 with a resume hint); the second kills as usual.
         svr_sim::shutdown::install();
         match BenchArgs::try_parse(&args) {
             Ok(parsed) => parsed,
@@ -414,7 +414,6 @@ impl Figure {
         self.sweep.points += res.stats.points;
         self.sweep.simulated += res.stats.simulated;
         self.sweep.cache_hits += res.stats.cache_hits;
-        self.sweep.journal_hits += res.stats.journal_hits;
         self.sweep.failed += res.stats.failed;
         self.sweep.deduped += res.stats.deduped;
         self.sweep.wall_ms += res.stats.wall_ms;
@@ -481,7 +480,6 @@ impl Figure {
                     ("points".into(), Json::u64(stats.points as u64)),
                     ("simulated".into(), Json::u64(stats.simulated as u64)),
                     ("cache_hits".into(), Json::u64(stats.cache_hits as u64)),
-                    ("journal_hits".into(), Json::u64(stats.journal_hits as u64)),
                     ("failed".into(), Json::u64(stats.failed as u64)),
                     ("deduped".into(), Json::u64(stats.deduped as u64)),
                     ("wall_ms".into(), Json::u64(stats.wall_ms)),

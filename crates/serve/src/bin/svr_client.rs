@@ -32,7 +32,10 @@ use std::time::Duration;
 use svr_serve::http;
 use svr_serve::protocol::PointSpec;
 use svr_sim::json::Json;
-use svr_sim::{point_key, run_point, Claim, ResultCache};
+use svr_sim::{
+    point_key, resolve_point, JobSource, LazyWorkload, PointStore, ResultCache, CLAIM_TIMEOUT,
+};
+use svr_trace::NullSink;
 
 const TIMEOUT: Duration = Duration::from_secs(600);
 
@@ -269,34 +272,37 @@ fn run_local(args: &[String]) -> Result<i32, String> {
         Some(d) => ResultCache::new(d),
         None => ResultCache::default_dir(),
     };
+    let store = PointStore {
+        cache: &cache,
+        claim_timeout: CLAIM_TIMEOUT,
+        max_bytes: None,
+    };
     let key = point_key(&spec.workload, resolved.scale, &resolved.sim, &resolved.options);
-    match cache.claim(&key, Duration::from_secs(120), Duration::from_secs(120)) {
-        Claim::Hit(report) => {
+    let (trace, result) = resolve_point(
+        Some(store),
+        &key,
+        &resolved.sim,
+        &resolved.options,
+        &LazyWorkload::new(resolved.kernel, resolved.scale),
+        None,
+        &mut NullSink,
+    );
+    match result {
+        Ok(report) => {
+            let source = if trace.source == JobSource::Cached {
+                "cached"
+            } else {
+                "simulated"
+            };
             println!(
-                "source=cached workload={} config={} cycles={}",
+                "source={source} workload={} config={} cycles={}",
                 spec.workload, spec.config, report.core.cycles
             );
             Ok(0)
         }
-        Claim::Won(guard) => {
-            let workload = resolved.kernel.build(resolved.scale);
-            match run_point(&workload, &resolved.sim, &key, resolved.scale, &resolved.options, None)
-            {
-                Ok(report) => {
-                    cache.store(&key, resolved.scale, &report);
-                    drop(guard);
-                    println!(
-                        "source=simulated workload={} config={} cycles={}",
-                        spec.workload, spec.config, report.core.cycles
-                    );
-                    Ok(0)
-                }
-                Err(e) => {
-                    drop(guard);
-                    eprintln!("{}", e.error.to_json().pretty());
-                    Ok(1)
-                }
-            }
+        Err(e) => {
+            eprintln!("{}", e.error.to_json().pretty());
+            Ok(1)
         }
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! svr_serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
 //!           [--cache-max-bytes N] [--queue-limit N] [--crash-dir DIR]
-//!           [--claim-timeout SECS] [--claim-stale SECS] [--no-resume]
+//!           [--claim-timeout SECS] [--no-resume]
 //!           [--job-deadline SECS] [--sock-timeout SECS] [--faults SPEC]
 //!           [--log-level error|warn|info|debug|off]
 //! ```
@@ -36,7 +36,7 @@ use svr_sim::shutdown;
 fn usage() -> String {
     "usage: svr_serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] \
      [--cache-max-bytes N] [--queue-limit N] [--crash-dir DIR] \
-     [--claim-timeout SECS] [--claim-stale SECS] [--no-resume] \
+     [--claim-timeout SECS] [--no-resume] \
      [--job-deadline SECS] [--sock-timeout SECS] [--faults SPEC] \
      [--log-level error|warn|info|debug|off]"
         .to_string()
@@ -86,22 +86,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|e| format!("--queue-limit: {e}"))?;
             }
             "--crash-dir" => args.cfg.crash_dir = Some(PathBuf::from(value("--crash-dir")?)),
-            // How long to wait on another process's cache claim, and the
-            // age at which a claim counts as abandoned (a SIGKILLed daemon
-            // cannot remove its claim files; a restarted daemon must be
-            // able to steal them promptly).
+            // How long to wait on another live process's cache claim (a
+            // SIGKILLed holder's claims are stolen at once).
             "--claim-timeout" => {
                 args.cfg.claim_timeout = std::time::Duration::from_secs(
                     value("--claim-timeout")?
                         .parse()
                         .map_err(|e| format!("--claim-timeout: {e}"))?,
-                );
-            }
-            "--claim-stale" => {
-                args.cfg.claim_stale = std::time::Duration::from_secs(
-                    value("--claim-stale")?
-                        .parse()
-                        .map_err(|e| format!("--claim-stale: {e}"))?,
                 );
             }
             "--no-resume" => args.resume = false,

@@ -33,7 +33,7 @@ use svr_sim::json::Json;
 pub enum Level {
     /// The daemon cannot do what it was asked.
     Error = 1,
-    /// Degraded but proceeding (retries, torn journal lines).
+    /// Degraded but proceeding (retries, job errors).
     Warn = 2,
     /// Lifecycle and span events (default threshold).
     Info = 3,

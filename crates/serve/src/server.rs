@@ -33,11 +33,10 @@ use crate::log;
 use crate::protocol::{error_body, parse_submit, PointSpec, ProtoError, ResolvedPoint};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use svr_sim::fault::{self, FaultSite};
 use svr_sim::json::Json;
@@ -45,16 +44,10 @@ use svr_sim::metrics::{
     CacheMetrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
 use svr_sim::{
-    point_key, report_to_json, run_point_traced, shutdown, Claim, PointKey, ResultCache,
-    SimError,
+    lock_ok, point_key, report_to_json, resolve_point, shutdown, JobSource, LazyWorkload,
+    PointKey, PointStore, ResultCache, SimError, CLAIM_TIMEOUT,
 };
 use svr_trace::{TraceEvent, TraceSink};
-
-/// Locks a mutex, riding through poisoning (workers catch panics at the job
-/// boundary; registry state is updated atomically under the lock).
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -72,11 +65,10 @@ pub struct ServerConfig {
     pub queue_limit: usize,
     /// Suggested client back-off, surfaced in the `Retry-After` header.
     pub retry_after_secs: u64,
-    /// How long a worker waits on another process's cache claim before
-    /// simulating anyway (duplicated work is safe, just not free).
+    /// How long a worker waits on another live process's cache claim
+    /// before simulating anyway (duplicated work is safe, just not free).
+    /// A dead holder's claim is stolen at once.
     pub claim_timeout: Duration,
-    /// Age beyond which another process's claim is considered abandoned.
-    pub claim_stale: Duration,
     /// Wall-clock budget from acceptance to completion. A job past its
     /// deadline finishes with a structured `{kind:"deadline"}` error instead
     /// of occupying a worker (or, when the simulation already ran, instead
@@ -92,16 +84,14 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let dir = std::env::var("SVR_CACHE_DIR").unwrap_or_else(|_| "results/cache".into());
         ServerConfig {
             workers: 2,
-            cache_dir: PathBuf::from(dir),
+            cache_dir: ResultCache::default_dir().dir().to_path_buf(),
             cache_max_bytes: None,
             crash_dir: None,
             queue_limit: 64,
             retry_after_secs: 1,
-            claim_timeout: Duration::from_secs(600),
-            claim_stale: Duration::from_secs(600),
+            claim_timeout: CLAIM_TIMEOUT,
             job_deadline: None,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -738,14 +728,15 @@ impl Server {
         )
     }
 
-    /// Resolves one job: cache claim → hit, or simulate with a streaming
-    /// progress relay. Terminal state is always set and the pending-journal
+    /// Resolves one job through [`resolve_point`] with a streaming progress
+    /// relay attached. Terminal state is always set and the pending-journal
     /// entry removed, whatever happens.
     fn process(&self, job: &Arc<Job>) {
         self.metrics.workers_busy.add(1);
         let _busy = GaugeGuard(&self.metrics.workers_busy);
         let queue_wait = job.created.elapsed();
         self.metrics.queue_wait_us.record_duration_us(queue_wait);
+        let hash = Json::str(format!("{:016x}", job.hash));
         if self.past_deadline(job) {
             // Expired while queued: fail it without occupying a worker.
             self.counters.errors.inc();
@@ -756,7 +747,7 @@ impl Server {
         log::info(
             "job_claimed",
             &[
-                ("hash", Json::str(format!("{:016x}", job.hash))),
+                ("hash", hash.clone()),
                 ("queue_wait_us", Json::u64(duration_us(queue_wait))),
             ],
         );
@@ -772,81 +763,42 @@ impl Server {
                 return;
             }
         };
-        match self
-            .cache
-            .claim(&job.key, self.cfg.claim_timeout, self.cfg.claim_stale)
-        {
-            Claim::Hit(report) => {
-                self.counters.cached.inc();
-                job.finish_done("cached", report_to_json(&report));
-                log::info(
-                    "job_cached",
-                    &[("hash", Json::str(format!("{:016x}", job.hash)))],
-                );
-            }
-            Claim::Won(guard) => {
-                self.simulate(job, &resolved);
-                drop(guard);
-            }
-        }
-        let _ = std::fs::remove_file(self.pending_path(job.hash));
-    }
-
-    /// Runs the simulation for a claimed job, streaming windowed progress.
-    fn simulate(&self, job: &Arc<Job>, resolved: &ResolvedPoint) {
-        let kernel = resolved.kernel;
-        let scale = resolved.scale;
-        let built = catch_unwind(AssertUnwindSafe(|| kernel.build(scale)));
-        let workload = match built {
-            Ok(w) => w,
-            Err(_) => {
-                self.counters.errors.inc();
-                job.finish_error(
-                    Phase::Error,
-                    SimError::Panic {
-                        workload: job.spec.workload.clone(),
-                        config: job.spec.config.clone(),
-                        message: "workload build panicked".into(),
-                    }
-                    .to_json(),
-                );
-                return;
-            }
+        let store = PointStore {
+            cache: &self.cache,
+            claim_timeout: self.cfg.claim_timeout,
+            max_bytes: self.cfg.cache_max_bytes,
         };
-        if let Some(d) = fault::stall(FaultSite::WorkerStall) {
-            std::thread::sleep(d);
-        }
         let mut relay = ProgressRelay::new(job, resolved.sim.trace.interval.max(1));
-        let sim_start = Instant::now();
-        let result = run_point_traced(
-            &workload,
-            &resolved.sim,
+        let (trace, result) = resolve_point(
+            Some(store),
             &job.key,
-            scale,
+            &resolved.sim,
             &resolved.options,
+            &LazyWorkload::new(resolved.kernel, resolved.scale),
             self.cfg.crash_dir.as_deref(),
             &mut relay,
         );
-        let sim_wall = sim_start.elapsed();
-        self.metrics.simulate_us.record_duration_us(sim_wall);
-        match result {
-            Ok(report) => {
-                // Store first, deadline second: a late result is still a
-                // correct result, and caching it means nobody pays for this
-                // point again — only *this* job reports the deadline miss.
-                self.cache.store(&job.key, scale, &report);
-                if let Some(max) = self.cfg.cache_max_bytes {
-                    self.cache.gc(max);
-                }
+        match (trace.source, result) {
+            (JobSource::Cached, Ok(report)) => {
+                self.counters.cached.inc();
+                job.finish_done("cached", report_to_json(&report));
+                log::info("job_cached", &[("hash", hash)]);
+            }
+            (_, Ok(report)) => {
+                let sim_us = (trace.wall_ms * 1e3) as u64;
+                self.metrics.simulate_us.record(sim_us);
                 self.counters.simulated.inc();
                 log::info(
                     "job_simulated",
                     &[
-                        ("hash", Json::str(format!("{:016x}", job.hash))),
-                        ("simulate_us", Json::u64(duration_us(sim_wall))),
+                        ("hash", hash),
+                        ("simulate_us", Json::u64(sim_us)),
                         ("cycles", Json::u64(report.core.cycles)),
                     ],
                 );
+                // The result is already stored: a late result is still a
+                // correct result, and caching it means nobody pays for this
+                // point again — only *this* job reports the deadline miss.
                 if self.past_deadline(job) {
                     self.counters.errors.inc();
                     job.finish_error(Phase::Error, self.deadline_body(job));
@@ -854,7 +806,7 @@ impl Server {
                     job.finish_done("simulated", report_to_json(&report));
                 }
             }
-            Err(e) => {
+            (_, Err(e)) => {
                 self.counters.errors.inc();
                 let mut body = e.error.to_json();
                 if let (Json::Obj(fields), Some(dump)) = (&mut body, &e.crash_dump) {
@@ -863,16 +815,11 @@ impl Server {
                         Json::str(dump.display().to_string()),
                     ));
                 }
-                log::warn(
-                    "job_error",
-                    &[
-                        ("hash", Json::str(format!("{:016x}", job.hash))),
-                        ("error", body.clone()),
-                    ],
-                );
+                log::warn("job_error", &[("hash", hash), ("error", body.clone())]);
                 job.finish_error(Phase::Error, body);
             }
         }
+        let _ = std::fs::remove_file(self.pending_path(job.hash));
     }
 
     /// Marks every still-queued job interrupted (drain path). Pending
@@ -1251,46 +1198,31 @@ impl Server {
         else {
             return;
         };
-        for line in &replay {
-            if chunked.send(line).is_err() {
-                return;
-            }
-        }
-        if job.phase().terminal() {
+        if relay_events(replay, rx, |line| chunked.send(line).is_ok()) {
             let _ = chunked.finish();
-            return;
-        }
-        loop {
-            match rx.recv_timeout(Duration::from_millis(250)) {
-                Ok(line) => {
-                    let terminal = line.contains("\"terminal\": true")
-                        || line.contains("\"terminal\":true");
-                    if chunked.send(&line).is_err() {
-                        return;
-                    }
-                    if terminal {
-                        let _ = chunked.finish();
-                        return;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if job.phase().terminal() {
-                        // Subscribed after the final broadcast raced past.
-                        let inner = lock_ok(&job.inner);
-                        let line = job.state_line(&inner);
-                        drop(inner);
-                        let _ = chunked.send(&line);
-                        let _ = chunked.finish();
-                        return;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = chunked.finish();
-                    return;
-                }
-            }
         }
     }
+}
+
+/// Relays one [`Job::subscribe`] result to `send`: the replay, then live
+/// events, through the terminal state line. Subscription is atomic under the
+/// job lock, so the terminal line is either the replay's last line or still
+/// to come on `rx` — never lost in between. Returns `false` when `send`
+/// failed (the client went away).
+fn relay_events(
+    replay: Vec<String>,
+    rx: mpsc::Receiver<String>,
+    mut send: impl FnMut(&str) -> bool,
+) -> bool {
+    for line in replay.into_iter().chain(rx) {
+        if !send(&line) {
+            return false;
+        }
+        if line.contains("\"terminal\":true") {
+            break;
+        }
+    }
+    true
 }
 
 /// Saturating microseconds of a duration (histogram/log unit).
@@ -1435,7 +1367,6 @@ mod tests {
                 workers: 2,
                 queue_limit: 4,
                 claim_timeout: Duration::from_secs(5),
-                claim_stale: Duration::from_secs(5),
                 ..ServerConfig::default()
             },
             dir,
@@ -1614,6 +1545,38 @@ mod tests {
     }
 
     #[test]
+    fn stream_relay_delivers_a_terminal_event_that_lands_after_subscribe() {
+        let (cfg, dir) = temp_cfg("relay");
+        let srv = Server::new(cfg);
+        let s = spec("Camel", "InO");
+        let r = s.resolve().expect("valid");
+        let (job, _) = srv.submit("alice", &s, &r).expect("ok");
+        // The job finishes between the stream handler's subscribe() and
+        // its relay of the replay: the terminal line is on `rx` only.
+        let (rx, replay) = job.subscribe();
+        job.finish_done("simulated", Json::Null);
+        assert!(!replay.last().expect("state line").contains("\"terminal\":true"));
+        let mut sent = Vec::new();
+        assert!(relay_events(replay, rx, |line| {
+            sent.push(line.to_string());
+            true
+        }));
+        assert!(
+            sent.last().is_some_and(|l| l.contains("\"terminal\":true") && l.contains("\"done\"")),
+            "the terminal event must reach the client: {sent:?}"
+        );
+        // A subscriber arriving after the fact gets it from the replay.
+        let (rx, replay) = job.subscribe();
+        let mut late = Vec::new();
+        assert!(relay_events(replay, rx, |line| {
+            late.push(line.to_string());
+            true
+        }));
+        assert_eq!(late.last(), sent.last());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn errors_produce_structured_bodies_not_bare_500s() {
         let (cfg, dir) = temp_cfg("err");
         let srv = Server::new(cfg);
@@ -1632,6 +1595,29 @@ mod tests {
         assert_eq!(err.get("workload").and_then(Json::as_str), Some("DiagSpin"));
         assert_eq!(err.get("config").and_then(Json::as_str), Some("InO"));
         assert_eq!(srv.counters.errors.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn build_panics_carry_their_payload_and_a_crash_dump() {
+        let (cfg, dir) = temp_cfg("buildpanic");
+        let srv = Server::new(ServerConfig {
+            crash_dir: Some(dir.join("crash")),
+            ..cfg
+        });
+        let s = spec("DiagPanic", "InO");
+        let r = s.resolve().expect("valid spec");
+        let (job, _) = srv.submit("alice", &s, &r).expect("ok");
+        let picked = lock_ok(&srv.sched).pick().expect("queued");
+        srv.process(&picked);
+        assert_eq!(job.phase(), Phase::Error);
+        let view = job.to_json();
+        let err = view.get("error").expect("error body");
+        assert_eq!(err.get("kind").and_then(Json::as_str), Some("panic"));
+        let message = err.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("deliberate diagnostic panic"), "payload kept: {message}");
+        let dump = err.get("crash_dump").and_then(Json::as_str).expect("crash dump");
+        assert!(std::path::Path::new(dump).exists(), "{dump}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

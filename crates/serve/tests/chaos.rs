@@ -25,8 +25,10 @@ use svr_serve::{Server, ServerConfig};
 use svr_sim::fault::{self, FaultSite};
 use svr_sim::json::Json;
 use svr_sim::{
-    point_key, report_from_json, run_point, Claim, FaultPlan, ResultCache, RunReport, Sweep,
+    point_key, report_from_json, resolve_point, Claim, FaultPlan, LazyWorkload, ResultCache,
+    RunReport, Sweep,
 };
+use svr_trace::NullSink;
 use svr_workloads::{Kernel, Scale};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -72,16 +74,21 @@ fn spec(config: &str) -> PointSpec {
     }
 }
 
-/// The fault-free report of one point — computed with NO plan installed.
-fn ground_truth(config: &str) -> (String, RunReport) {
-    assert!(!fault::fires(FaultSite::WorkerPanic), "truth needs a clean world");
+/// Simulates one point directly (no cache), returning its hash and report.
+fn simulate(config: &str) -> (String, RunReport) {
     let s = spec(config);
     let r = s.resolve().expect("valid point");
     let key = point_key(&s.workload, r.scale, &r.sim, &r.options);
-    let workload = r.kernel.build(r.scale);
-    let report = run_point(&workload, &r.sim, &key, r.scale, &r.options, None)
-        .expect("fault-free run succeeds");
-    (format!("{:016x}", key.hash), report)
+    let workload = LazyWorkload::new(r.kernel, r.scale);
+    let (_, report) =
+        resolve_point(None, &key, &r.sim, &r.options, &workload, None, &mut NullSink);
+    (format!("{:016x}", key.hash), report.expect("run succeeds"))
+}
+
+/// The fault-free report of one point — computed with NO plan installed.
+fn ground_truth(config: &str) -> (String, RunReport) {
+    assert!(!fault::fires(FaultSite::WorkerPanic), "truth needs a clean world");
+    simulate(config)
 }
 
 fn submit_body(client: &str, configs: &[&str]) -> String {
@@ -182,7 +189,6 @@ fn chaos_soak_overlapping_clients_under_hostile_schedule() {
         cache_dir: dir.clone(),
         workers: 2,
         claim_timeout: Duration::from_secs(30),
-        claim_stale: Duration::from_secs(30),
         ..ServerConfig::default()
     });
     let (addr, handle) = spawn_server(&srv);
@@ -311,7 +317,7 @@ fn chaos_soak_overlapping_clients_under_hostile_schedule() {
         !names.iter().any(|n| n.contains(".tmp.")),
         "torn tmp litter after drain: {names:?}"
     );
-    for sub in ["serve-pending", "quarantine", "journal"] {
+    for sub in ["serve-pending", "quarantine"] {
         let count = std::fs::read_dir(dir.join(sub)).map(|d| d.count()).unwrap_or(0);
         assert_eq!(count, 0, "{sub}/ must be empty after a clean drain");
     }
@@ -395,53 +401,61 @@ fn stalled_job_past_deadline_errors_structured_but_caches_the_result() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Journal faults (torn half-line, duplicated line) never fail a sweep,
-/// never corrupt results, and leave no residue once the sweep completes.
+/// Cache faults on the sweep path: a torn store and a failed load never
+/// fail a sweep or corrupt a result. They only cost cache coverage, and the
+/// claims are released either way.
 #[test]
-fn sweep_survives_torn_and_duplicated_journal_appends() {
+fn sweep_survives_torn_stores_and_load_errors() {
     let _guard = hold_faults();
     let truth: Vec<RunReport> = ["InO", "SVR16", "SVR32"]
         .iter()
         .map(|c| ground_truth(c).1)
         .collect();
-
-    fault::install(
-        FaultPlan::seeded(3)
-            .with_capped(FaultSite::JournalTorn, 1.0, 1)
-            .with_capped(FaultSite::JournalDup, 1.0, 1),
-    );
-    let dir = temp_dir("journal");
-    let configs = || {
-        vec![
-            svr_sim::SimConfig::from_label("InO").expect("InO"),
-            svr_sim::SimConfig::from_label("SVR16").expect("SVR16"),
-            svr_sim::SimConfig::from_label("SVR32").expect("SVR32"),
-        ]
+    let dir = temp_dir("sweep-faults");
+    let sweep = || {
+        Sweep::new(vec![Kernel::Camel], Scale::Tiny)
+            .configs(
+                ["InO", "SVR16", "SVR32"]
+                    .iter()
+                    .map(|c| svr_sim::SimConfig::from_label(c).expect("known label"))
+                    .collect(),
+            )
+            .cache_dir(&dir)
+            .no_crash_dumps()
+            .run(2)
     };
-    let result = Sweep::new(vec![Kernel::Camel], Scale::Tiny)
-        .configs(configs())
-        .cache_dir(&dir)
-        .no_crash_dumps()
-        .run(2);
-    assert_eq!(result.stats.simulated, 3, "{:?}", result.stats);
-    assert_eq!(result.stats.failed, 0, "{:?}", result.stats);
-    for (ci, want) in truth.iter().enumerate() {
-        assert_eq!(result.report(ci, 0), want, "config #{ci} report must match");
-    }
-    // A completed sweep removes its journal — torn/dup lines included.
-    let journal_entries = std::fs::read_dir(dir.join("journal"))
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert_eq!(journal_entries, 0, "journal must be gone after a clean sweep");
 
-    // And the stores were atomic and valid: a re-run is pure cache hits.
-    let again = Sweep::new(vec![Kernel::Camel], Scale::Tiny)
-        .configs(configs())
-        .cache_dir(&dir)
-        .no_crash_dumps()
-        .run(2);
+    // One store tears: every point still simulates and reports correctly.
+    fault::install(FaultPlan::seeded(3).with_capped(FaultSite::CacheStoreTorn, 1.0, 1));
+    let first = sweep();
+    assert_eq!(first.stats.simulated, 3, "{:?}", first.stats);
+    assert_eq!(first.stats.failed, 0, "{:?}", first.stats);
+    for (ci, want) in truth.iter().enumerate() {
+        assert_eq!(first.report(ci, 0), want, "config #{ci} report must match");
+    }
+
+    // One load fails: a pure miss, rescued by the claim's re-check. Only the
+    // point whose store tore is simulated again.
+    fault::install(FaultPlan::seeded(4).with_capped(FaultSite::CacheLoadErr, 1.0, 1));
+    let second = sweep();
+    assert_eq!(second.stats.simulated, 1, "{:?}", second.stats);
+    assert_eq!(second.stats.cache_hits, 2, "{:?}", second.stats);
+    for (ci, want) in truth.iter().enumerate() {
+        assert_eq!(second.report(ci, 0), want, "config #{ci} report must match");
+    }
+
+    // And the stores were atomic and valid: a fault-free re-run is pure
+    // cache hits, with no claim left behind.
+    fault::clear();
+    let again = sweep();
     assert_eq!(again.stats.cache_hits, 3, "{:?}", again.stats);
     assert_eq!(again.stats.simulated, 0, "{:?}", again.stats);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    assert!(!names.iter().any(|n| n.ends_with(".claim")), "{names:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -530,16 +544,8 @@ fn empty_plan_is_zero_cost_and_changes_nothing() {
         assert!(!fault::fires(site), "empty plan must never fire {}", site.name());
         assert!(fault::stall(site).is_none());
     }
-    let (_, under_empty_plan) = {
-        // ground_truth asserts no faults fire — which is exactly the claim.
-        let s = spec("SVR8");
-        let r = s.resolve().expect("valid");
-        let key = point_key(&s.workload, r.scale, &r.sim, &r.options);
-        let workload = r.kernel.build(r.scale);
-        let report = run_point(&workload, &r.sim, &key, r.scale, &r.options, None)
-            .expect("runs");
-        (key, report)
-    };
+    // ground_truth asserts no faults fire — which is exactly the claim.
+    let (_, under_empty_plan) = ground_truth("SVR8");
     assert_eq!(
         under_empty_plan, clean,
         "an empty plan must not change a single report byte"

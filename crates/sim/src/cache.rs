@@ -15,9 +15,9 @@
 //!   and (new) arbitrates *cross-process* duplicate work with claim files:
 //!   two processes racing on the same key cost one simulation globally.
 //! * **Eviction** — [`ResultCache::gc`] enforces a byte-size cap with an
-//!   LRU-by-mtime policy, skipping the `journal/` and `quarantine/`
-//!   sub-directories (journals are resume state, quarantined entries are
-//!   forensic evidence; neither is a cache hit candidate).
+//!   LRU-by-mtime policy over the top-level entries only: sub-directories
+//!   (`quarantine/` forensic evidence, the daemon's `serve-pending/` resume
+//!   state) and claim files are never evicted.
 
 use crate::config::SimConfig;
 use crate::fault::{self, FaultSite};
@@ -26,6 +26,7 @@ use crate::metrics::CacheMetrics;
 use crate::options::{ExecMode, RunOptions};
 use crate::report::{report_from_json, report_to_json};
 use crate::runner::RunReport;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -50,6 +51,11 @@ pub const CACHE_FORMAT_VERSION: u32 = 5;
 const CLAIM_BACKOFF_START_MS: u64 = 4;
 /// Ceiling on the claim-wait backoff step.
 const CLAIM_BACKOFF_CAP_MS: u64 = 200;
+
+/// How long a caller waits on another live holder's claim before simulating
+/// anyway, and the claim age past which a holder whose liveness cannot be
+/// observed (no `/proc`) counts as dead. Sweeps and the daemon share it.
+pub const CLAIM_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// 64-bit FNV-1a over a string (the cache/dedup point hash).
 pub fn fnv1a64(s: &str) -> u64 {
@@ -172,7 +178,7 @@ impl ResultCache {
     }
 
     /// A store at the conventional location: `$SVR_CACHE_DIR` or
-    /// `results/cache`.
+    /// `results/cache`. Every default cache location reads through here.
     pub fn default_dir() -> Self {
         let dir = std::env::var("SVR_CACHE_DIR").unwrap_or_else(|_| "results/cache".into());
         ResultCache::new(dir)
@@ -193,17 +199,86 @@ impl ResultCache {
     }
 
     /// Loads the entry for `point`, returning `None` on miss, key mismatch
-    /// (hash collision or stale format — both re-simulate), or corruption
-    /// (the entry is quarantined with a warning).
+    /// (hash collision or stale format — both re-simulate), or corruption.
+    ///
+    /// A file that exists but does not parse — or parses but lacks the
+    /// expected structure — is *corrupt* (torn write from a killed process,
+    /// disk fault, manual edit) and is quarantined to `<dir>/quarantine/`
+    /// with a warning so it never shadows the slot again and stays available
+    /// for forensics.
     pub fn load(&self, point: &PointKey) -> Option<RunReport> {
-        load_cached(&self.dir, point.hash, &point.key)
+        if fault::fires(FaultSite::CacheLoadErr) {
+            // Injected read error: behave exactly like an I/O failure (a pure
+            // miss) — the caller must re-simulate, never crash or quarantine.
+            return None;
+        }
+        let path = self.entry_path(point.hash);
+        let bytes = std::fs::read(&path).ok()?;
+        let Ok(text) = String::from_utf8(bytes) else {
+            quarantine(&self.dir, &path, "not valid UTF-8");
+            return None;
+        };
+        let Ok(doc) = Json::parse(&text) else {
+            quarantine(&self.dir, &path, "not valid JSON");
+            return None;
+        };
+        match doc.get("key").and_then(Json::as_str) {
+            // A different key at the same hash is a stale format or a genuine
+            // hash collision, not corruption: leave the entry alone.
+            Some(k) if k == point.key => {}
+            Some(_) => return None,
+            None => {
+                quarantine(&self.dir, &path, "missing \"key\" field");
+                return None;
+            }
+        }
+        let Some(report) = doc.get("report") else {
+            quarantine(&self.dir, &path, "missing \"report\" field");
+            return None;
+        };
+        match report_from_json(report) {
+            Ok(r) => Some(r),
+            Err(e) => {
+                quarantine(&self.dir, &path, &format!("bad report: {e}"));
+                None
+            }
+        }
     }
 
-    /// Writes the entry for `point` atomically. Failures are non-fatal.
+    /// Writes the entry for `point` atomically (tmp file + rename), so
+    /// concurrent readers never observe a torn file. Failures are
+    /// non-fatal: the cache is an optimization, not a correctness
+    /// requirement.
     pub fn store(&self, point: &PointKey, scale: Scale, report: &RunReport) {
-        store_cached(&self.dir, point.hash, &point.key, scale, report);
         if let Some(m) = &self.metrics {
             m.stores.inc();
+        }
+        if std::fs::create_dir_all(&self.dir).is_err() {
+            return;
+        }
+        let doc = Json::Obj(vec![
+            ("version".into(), Json::u64(u64::from(CACHE_FORMAT_VERSION))),
+            ("key".into(), Json::str(&point.key)),
+            ("workload".into(), Json::str(&report.workload)),
+            ("config".into(), Json::str(&report.config)),
+            ("scale".into(), Json::str(scale.name())),
+            ("report".into(), report_to_json(report)),
+        ]);
+        let tmp = self
+            .dir
+            .join(format!("{:016x}.tmp.{}", point.hash, std::process::id()));
+        let text = doc.pretty();
+        if fault::fires(FaultSite::CacheStoreTorn) {
+            // Injected crash mid-write: half the document lands in the
+            // staging file and the rename never happens. The final path
+            // stays untouched (that is the invariant tmp+rename buys), so
+            // readers see a miss and the orphaned tmp is swept by gc / the
+            // server's drain.
+            let _ = std::fs::write(&tmp, &text.as_bytes()[..text.len() / 2]);
+            return;
+        }
+        if std::fs::write(&tmp, text).is_ok() {
+            let _ = std::fs::rename(&tmp, self.entry_path(point.hash));
         }
     }
 
@@ -216,11 +291,14 @@ impl ResultCache {
     /// hash and pid, ~4 ms doubling to a 200 ms cap) so hundreds of waiters
     /// on one hot point don't thundering-herd the filesystem in lockstep.
     /// If the claim disappears without an entry (the winner crashed or
-    /// declined), the next waiter re-claims. A claim older than
-    /// `stale_after` is stolen — a SIGKILLed winner cannot remove its claim
-    /// file, and simulating twice is always safe. After `timeout` of
-    /// unproductive waiting the caller simulates anyway (atomic entry writes
-    /// make duplicated work harmless, just not free).
+    /// declined), the next waiter re-claims. The claim file records the
+    /// holder's pid, and a claim whose holder is gone (no `/proc/<pid>`) is
+    /// stolen at once: a SIGKILLed winner cannot remove its claim file, and
+    /// simulating twice is always safe. Where `/proc` is absent, or the file
+    /// names no pid yet, a claim older than `stale_after` is stolen instead.
+    /// Holders are assumed to share this host's pid namespace. After
+    /// `timeout` of unproductive waiting the caller simulates anyway (atomic
+    /// entry writes make duplicated work harmless, just not free).
     pub fn claim(&self, point: &PointKey, timeout: Duration, stale_after: Duration) -> Claim {
         let t0 = Instant::now();
         let claim = self.claim_inner(point, timeout, stale_after);
@@ -254,7 +332,10 @@ impl ResultCache {
                 .create_new(true)
                 .open(&path)
             {
-                Ok(_) => {
+                Ok(mut file) => {
+                    // Best-effort: a waiter that reads no pid falls back to
+                    // the claim's age.
+                    let _ = write!(file, "{}", std::process::id());
                     // Double-check: the previous holder may have stored the
                     // entry between our load miss and our claim win.
                     if let Some(report) = self.load(point) {
@@ -267,12 +348,14 @@ impl ResultCache {
                     return Claim::Won(ClaimGuard { path });
                 }
                 Err(_) => {
-                    // Someone else holds the claim. Steal it when stale.
-                    let stale = std::fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| SystemTime::now().duration_since(m).ok())
-                        .is_some_and(|age| age > stale_after)
+                    // Someone else holds the claim. Steal it when its
+                    // holder is dead (or, unobservably, when it is stale).
+                    let stale = holder_dead(&path)
+                        || std::fs::metadata(&path)
+                            .and_then(|m| m.modified())
+                            .ok()
+                            .and_then(|m| SystemTime::now().duration_since(m).ok())
+                            .is_some_and(|age| age > stale_after)
                         || fault::fires(FaultSite::ClaimSteal);
                     if stale {
                         if let Some(m) = &self.metrics {
@@ -344,8 +427,8 @@ impl ResultCache {
 
     /// Enforces `max_bytes` over the top-level `*.json` entries with an
     /// LRU-by-mtime policy: oldest entries are removed until the total fits.
-    /// `journal/` and `quarantine/` sub-directories (and claim files) are
-    /// never touched — they are resume state and forensic evidence, not
+    /// Sub-directories (`quarantine/`, `serve-pending/`) and claim files are
+    /// never touched — they are forensic evidence and resume state, not
     /// reloadable results. Stale `*.tmp.*` staging files (dead writers) are
     /// swept as a side effect.
     pub fn gc(&self, max_bytes: u64) -> CacheGcStats {
@@ -392,54 +475,17 @@ impl ResultCache {
     }
 }
 
-fn cache_path(dir: &Path, hash: u64) -> PathBuf {
-    dir.join(format!("{hash:016x}.json"))
-}
-
-/// Loads a cache entry, returning `None` on miss, parse failure, or a key
-/// mismatch (hash collision or stale format — both re-simulate).
-///
-/// A file that exists but does not parse — or parses but lacks the expected
-/// structure — is *corrupt* (torn write from a killed process, disk fault,
-/// manual edit) and is quarantined to `<dir>/quarantine/` with a warning so
-/// it never shadows the slot again and stays available for forensics.
-pub(crate) fn load_cached(dir: &Path, hash: u64, key: &str) -> Option<RunReport> {
-    if fault::fires(FaultSite::CacheLoadErr) {
-        // Injected read error: behave exactly like an I/O failure (a pure
-        // miss) — the caller must re-simulate, never crash or quarantine.
-        return None;
-    }
-    let path = cache_path(dir, hash);
-    let bytes = std::fs::read(&path).ok()?;
-    let Ok(text) = String::from_utf8(bytes) else {
-        quarantine(dir, &path, "not valid UTF-8");
-        return None;
+/// Whether the claim at `path` names a pid that `/proc` shows is gone.
+/// `false` whenever liveness cannot be observed: no `/proc`, or a claim file
+/// that names no pid (unreadable, or not yet written by its creator).
+fn holder_dead(path: &Path) -> bool {
+    let Some(pid) = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| s.trim().parse::<u32>().ok())
+    else {
+        return false;
     };
-    let Ok(doc) = Json::parse(&text) else {
-        quarantine(dir, &path, "not valid JSON");
-        return None;
-    };
-    match doc.get("key").and_then(Json::as_str) {
-        // A different key at the same hash is a stale format or a genuine
-        // hash collision, not corruption: leave the entry alone.
-        Some(k) if k == key => {}
-        Some(_) => return None,
-        None => {
-            quarantine(dir, &path, "missing \"key\" field");
-            return None;
-        }
-    }
-    let Some(report) = doc.get("report") else {
-        quarantine(dir, &path, "missing \"report\" field");
-        return None;
-    };
-    match report_from_json(report) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            quarantine(dir, &path, &format!("bad report: {e}"));
-            None
-        }
-    }
+    Path::new("/proc/self").exists() && !Path::new(&format!("/proc/{pid}")).exists()
 }
 
 /// Moves a corrupt cache entry aside (best-effort) and warns.
@@ -459,37 +505,6 @@ fn quarantine(dir: &Path, path: &Path, reason: &str) {
             "could not quarantine it"
         }
     );
-}
-
-/// Writes a cache entry atomically (tmp file + rename), so concurrent
-/// invocations never observe a torn file. Failures are non-fatal: the cache
-/// is an optimization, not a correctness requirement.
-pub(crate) fn store_cached(dir: &Path, hash: u64, key: &str, scale: Scale, report: &RunReport) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let doc = Json::Obj(vec![
-        ("version".into(), Json::u64(u64::from(CACHE_FORMAT_VERSION))),
-        ("key".into(), Json::str(key)),
-        ("workload".into(), Json::str(&report.workload)),
-        ("config".into(), Json::str(&report.config)),
-        ("scale".into(), Json::str(scale.name())),
-        ("report".into(), report_to_json(report)),
-    ]);
-    let path = cache_path(dir, hash);
-    let tmp = dir.join(format!("{hash:016x}.tmp.{}", std::process::id()));
-    let text = doc.pretty();
-    if fault::fires(FaultSite::CacheStoreTorn) {
-        // Injected crash mid-write: half the document lands in the staging
-        // file and the rename never happens. The final path stays untouched
-        // (that is the invariant tmp+rename buys), so readers see a miss and
-        // the orphaned tmp is swept by gc / the server's drain.
-        let _ = std::fs::write(&tmp, &text.as_bytes()[..text.len() / 2]);
-        return;
-    }
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
 }
 
 #[cfg(test)]
@@ -602,7 +617,80 @@ mod tests {
     }
 
     #[test]
-    fn gc_evicts_lru_and_spares_journal_and_quarantine() {
+    fn claims_of_dead_holders_are_stolen_at_once() {
+        if !Path::new("/proc/self").exists() {
+            return; // liveness is unobservable here; the age fallback applies
+        }
+        let dir = TempDir::new("deadpid");
+        let cache = ResultCache::new(&dir.0);
+        let (key, _) = a_report();
+        // A child that has exited and been reaped: its pid names no process.
+        let mut child = std::process::Command::new(std::env::current_exe().expect("test exe"))
+            .arg("--list")
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn child");
+        let dead = child.id();
+        child.wait().expect("reap child");
+        std::fs::write(cache.claim_path(key.hash), dead.to_string()).expect("plant claim");
+        let stale_after = Duration::from_secs(600);
+        let start = Instant::now();
+        let got = cache.claim(&key, Duration::from_secs(5), stale_after);
+        assert!(matches!(got, Claim::Won(_)), "dead holder's claim must be stolen");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "stealing from a dead holder must not wait ({:?})",
+            start.elapsed()
+        );
+        let holder = std::fs::read_to_string(cache.claim_path(key.hash)).expect("claim");
+        assert_eq!(holder, std::process::id().to_string(), "the claim names its new holder");
+        drop(got);
+
+        // A live holder (this process) is waited on until the timeout.
+        std::fs::write(cache.claim_path(key.hash), std::process::id().to_string())
+            .expect("plant live claim");
+        let t = Duration::from_millis(100);
+        let start = Instant::now();
+        assert!(matches!(cache.claim(&key, t, stale_after), Claim::Won(_)));
+        assert!(start.elapsed() >= t, "a live holder's claim must be waited on");
+    }
+
+    #[test]
+    fn loader_survives_arbitrary_corruption() {
+        // Property test: feed `load` every prefix truncation of a valid
+        // entry plus a batch of random single-byte corruptions (and a
+        // guaranteed non-UTF-8 one); it must never panic — `None` and
+        // quarantining are the only acceptable outcomes.
+        let dir = TempDir::new("fuzz");
+        let cache = ResultCache::new(&dir.0);
+        let (key, report) = a_report();
+        cache.store(&key, Scale::Tiny, &report);
+        let path = cache.entry_path(key.hash);
+        let valid = std::fs::read(&path).expect("entry bytes");
+        // Every prefix truncation.
+        for len in 0..valid.len() {
+            std::fs::write(&path, &valid[..len]).expect("write");
+            let _ = cache.load(&key);
+        }
+        // Random single-byte corruptions (deterministic xorshift).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..256 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mut bytes = valid.clone();
+            let pos = (state as usize) % bytes.len();
+            bytes[pos] = (state >> 32) as u8;
+            std::fs::write(&path, &bytes).expect("write");
+            let _ = cache.load(&key);
+        }
+        // Guaranteed invalid UTF-8.
+        std::fs::write(&path, [0xff, 0xfe, b'{', 0xff]).expect("write");
+        assert!(cache.load(&key).is_none());
+    }
+
+    #[test]
+    fn gc_evicts_lru_and_spares_subdirs_and_claims() {
         let dir = TempDir::new("gc");
         let cache = ResultCache::new(&dir.0);
         // Three fake entries with distinct mtimes (oldest first).
@@ -612,8 +700,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             let _ = i;
         }
-        std::fs::create_dir_all(dir.0.join("journal")).expect("journal dir");
-        std::fs::write(dir.0.join("journal/j.journal"), b"deadbeef").expect("journal");
+        std::fs::create_dir_all(dir.0.join("serve-pending")).expect("pending dir");
+        std::fs::write(dir.0.join("serve-pending/p.json"), b"{}").expect("pending");
         std::fs::create_dir_all(dir.0.join("quarantine")).expect("q dir");
         std::fs::write(dir.0.join("quarantine/q.json"), b"{}").expect("quarantined");
         std::fs::write(dir.0.join("held.claim"), b"").expect("claim");
@@ -627,7 +715,7 @@ mod tests {
         assert!(!dir.0.join("aaa.json").exists(), "oldest entry evicted");
         assert!(dir.0.join("bbb.json").exists());
         assert!(dir.0.join("ccc.json").exists());
-        assert!(dir.0.join("journal/j.journal").exists(), "journal spared");
+        assert!(dir.0.join("serve-pending/p.json").exists(), "pending spared");
         assert!(dir.0.join("quarantine/q.json").exists(), "quarantine spared");
         assert!(dir.0.join("held.claim").exists(), "claims spared");
 

@@ -85,7 +85,7 @@ pub enum SimError {
     /// The run was never started (or was abandoned before starting) because
     /// a shutdown was requested — SIGINT/SIGTERM mid-sweep, or a draining
     /// simulation server. Not a failure of the point itself: re-running the
-    /// identical sweep resumes from the journal, and a restarted server
+    /// identical sweep resumes from the result cache, and a restarted server
     /// re-enqueues the point from its pending journal.
     Interrupted {
         /// Workload name.
@@ -277,7 +277,7 @@ impl std::fmt::Display for SimError {
             SimError::Interrupted { workload, config } => write!(
                 f,
                 "{workload} under {config}: interrupted before the run \
-                 started (shutdown requested); completed work is journaled — \
+                 started (shutdown requested); completed work is cached — \
                  resume by re-running"
             ),
         }

@@ -1,6 +1,6 @@
 //! Deterministic, seeded fault injection for the storage and service tiers.
 //!
-//! The claim protocol, journal resume, quarantine, and retry paths all
+//! The claim protocol, quarantine, and retry paths all
 //! promise to survive hostile conditions — torn writes, stolen claims,
 //! panicking workers, dropped connections. This module is how those promises
 //! get *provoked* instead of hoped for: a [`FaultPlan`] names injection
@@ -15,8 +15,6 @@
 //! | `cache_load_err`   | `ResultCache`      | load behaves as an I/O error (pure miss)       |
 //! | `claim_steal`      | `ResultCache`      | a waiter steals a live claim as if it were stale |
 //! | `gc_mid_claim`     | `ResultCache`      | a full GC pass (`max_bytes=0`) runs while the claim is held |
-//! | `journal_torn`     | sweep journal      | an append writes half a line and no newline    |
-//! | `journal_dup`      | sweep journal      | an append writes its line twice                |
 //! | `worker_panic`     | simulation workers | the *first* attempt of a point panics (the panic-isolated retry is deliberately not a site, so the fault is always recoverable) |
 //! | `worker_stall`     | simulation workers | the worker sleeps `stall_ms` before simulating |
 //! | `conn_slow_read`   | HTTP server        | the connection stalls `stall_ms` before the request is read |
@@ -55,10 +53,6 @@ pub enum FaultSite {
     ClaimSteal,
     /// A full GC pass runs while a claim is held.
     GcMidClaim,
-    /// A journal append is torn (half a line, no newline).
-    JournalTorn,
-    /// A journal append duplicates its line.
-    JournalDup,
     /// The first simulation attempt of a point panics.
     WorkerPanic,
     /// The worker stalls before simulating.
@@ -70,7 +64,7 @@ pub enum FaultSite {
 }
 
 /// Number of sites (array sizes below).
-const NUM_SITES: usize = 10;
+const NUM_SITES: usize = 8;
 
 impl FaultSite {
     /// Every site, in spec/display order.
@@ -79,8 +73,6 @@ impl FaultSite {
         FaultSite::CacheLoadErr,
         FaultSite::ClaimSteal,
         FaultSite::GcMidClaim,
-        FaultSite::JournalTorn,
-        FaultSite::JournalDup,
         FaultSite::WorkerPanic,
         FaultSite::WorkerStall,
         FaultSite::ConnSlowRead,
@@ -94,8 +86,6 @@ impl FaultSite {
             FaultSite::CacheLoadErr => "cache_load_err",
             FaultSite::ClaimSteal => "claim_steal",
             FaultSite::GcMidClaim => "gc_mid_claim",
-            FaultSite::JournalTorn => "journal_torn",
-            FaultSite::JournalDup => "journal_dup",
             FaultSite::WorkerPanic => "worker_panic",
             FaultSite::WorkerStall => "worker_stall",
             FaultSite::ConnSlowRead => "conn_slow_read",
@@ -108,14 +98,29 @@ impl FaultSite {
         FaultSite::ALL.into_iter().find(|s| s.name() == name)
     }
 
+    /// The site's slot in the per-site arrays.
     fn idx(self) -> usize {
         match self {
             FaultSite::CacheStoreTorn => 0,
             FaultSite::CacheLoadErr => 1,
             FaultSite::ClaimSteal => 2,
             FaultSite::GcMidClaim => 3,
-            FaultSite::JournalTorn => 4,
-            FaultSite::JournalDup => 5,
+            FaultSite::WorkerPanic => 4,
+            FaultSite::WorkerStall => 5,
+            FaultSite::ConnSlowRead => 6,
+            FaultSite::ConnDropChunk => 7,
+        }
+    }
+
+    /// The site's decision-stream id. Ids 4 and 5 belonged to the retired
+    /// sweep-journal sites; the others keep their original values so an
+    /// existing `--faults` spec replays the same decisions.
+    fn stream_id(self) -> u64 {
+        match self {
+            FaultSite::CacheStoreTorn => 0,
+            FaultSite::CacheLoadErr => 1,
+            FaultSite::ClaimSteal => 2,
+            FaultSite::GcMidClaim => 3,
             FaultSite::WorkerPanic => 6,
             FaultSite::WorkerStall => 7,
             FaultSite::ConnSlowRead => 8,
@@ -249,7 +254,7 @@ impl FaultPlan {
             return false;
         }
         let stream = self.seed
-            ^ (site.idx() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (site.stream_id() + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ k.wrapping_mul(0xd134_2543_de82_ef95);
         Rng64::new(stream).next_f64() < rule.prob
     }
@@ -474,6 +479,30 @@ mod tests {
         assert!(!armed.decide(FaultSite::WorkerStall, 0), "other sites stay quiet");
         let zero = FaultPlan::seeded(9).with(FaultSite::WorkerPanic, 0.0);
         assert!((0..64).all(|k| !zero.decide(FaultSite::WorkerPanic, k)));
+    }
+
+    #[test]
+    fn decision_streams_are_pinned_per_site() {
+        // The first 64 decisions of every site at seed 42 and p = 0.5, as
+        // they were before the sweep-journal sites were retired: existing
+        // `--faults` specs must keep replaying the same schedule.
+        let pinned = [
+            ("cache_store_torn", 0xf0bd_f181_d1b1_529f_u64),
+            ("cache_load_err", 0x8069_132c_f38b_8937),
+            ("claim_steal", 0x5a50_387f_da6f_f19f),
+            ("gc_mid_claim", 0x0005_217a_cdfe_92e5),
+            ("worker_panic", 0xea9b_e277_dcf5_2adc),
+            ("worker_stall", 0xf0be_74a2_9b44_b14e),
+            ("conn_slow_read", 0x20e4_621e_2b03_cab5),
+            ("conn_drop_chunk", 0xb1b9_aad4_bc6b_4d9f),
+        ];
+        assert_eq!(pinned.len(), FaultSite::ALL.len());
+        for (name, mask) in pinned {
+            let site = FaultSite::from_name(name).expect("known site");
+            let plan = FaultPlan::seeded(42).with(site, 0.5);
+            let got = (0..64).fold(0u64, |m, k| m | (u64::from(plan.decide(site, k)) << k));
+            assert_eq!(got, mask, "{name}: decision stream moved");
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod metrics;
 mod options;
 mod profile;
 mod report;
+mod resolve;
 mod runner;
 pub mod shutdown;
 mod sweep;
@@ -44,7 +45,7 @@ pub use svr_trace::json;
 
 pub use cache::{
     fnv1a64, point_key, CacheGcStats, Claim, ClaimGuard, PointKey, ResultCache,
-    CACHE_FORMAT_VERSION,
+    CACHE_FORMAT_VERSION, CLAIM_TIMEOUT,
 };
 pub use config::{ConfigError, CoreChoice, SimConfig, TraceConfig};
 pub use crash::{default_crash_dir, write_crash_dump};
@@ -60,14 +61,32 @@ pub use profile::{
     PF_SOURCE_NAMES,
 };
 pub use report::{report_from_json, report_to_json};
+pub use resolve::{
+    resolve_point, JobError, JobResult, JobSource, JobTrace, LazyWorkload, PointStore,
+};
 pub use runner::{
     energy_input, harmonic_mean_speedup, run_kernel, run_parallel, run_workload,
     run_workload_traced, RunReport, SampledStats,
 };
-pub use sweep::{
-    run_point, run_point_traced, JobError, JobResult, JobSource, JobTrace, Sweep, SweepResult,
-    SweepStats,
-};
+pub use sweep::{Sweep, SweepResult, SweepStats};
+
+/// Locks a mutex, riding through poisoning: every panic in this workspace's
+/// worker threads is caught at a job boundary, and the guarded data is
+/// updated atomically under the lock, so it stays consistent.
+pub fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Renders a panic payload (the common `&str`/`String` cases).
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
 
 /// Groups reports by the kernel group label and averages a metric within
 /// each group (used by Figs. 13 and 15, which aggregate similar workloads).

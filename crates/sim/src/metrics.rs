@@ -27,7 +27,7 @@
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Linear sub-buckets per power-of-two octave: 2^4 = 16.
@@ -587,12 +587,6 @@ pub struct MetricsRegistry {
     metrics: Mutex<Vec<MetricDef>>,
 }
 
-/// A poisoned registry lock only means a panic elsewhere mid-registration;
-/// the Vec is always structurally valid, so keep serving.
-fn lock_defs(m: &Mutex<Vec<MetricDef>>) -> MutexGuard<'_, Vec<MetricDef>> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
@@ -607,7 +601,7 @@ impl MetricsRegistry {
     /// Gets or registers a labeled counter (e.g. `{route="/v1/jobs"}`).
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let labels = own_labels(labels);
-        let mut defs = lock_defs(&self.metrics);
+        let mut defs = crate::lock_ok(&self.metrics);
         for d in defs.iter() {
             if let MetricKind::Counter(c) = &d.kind {
                 if d.name == name && d.labels == labels {
@@ -627,7 +621,7 @@ impl MetricsRegistry {
 
     /// Gets or registers an unlabeled gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut defs = lock_defs(&self.metrics);
+        let mut defs = crate::lock_ok(&self.metrics);
         for d in defs.iter() {
             if let MetricKind::Gauge(g) = &d.kind {
                 if d.name == name && d.labels.is_empty() {
@@ -647,7 +641,7 @@ impl MetricsRegistry {
 
     /// Gets or registers an unlabeled histogram.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut defs = lock_defs(&self.metrics);
+        let mut defs = crate::lock_ok(&self.metrics);
         for d in defs.iter() {
             if let MetricKind::Hist(h) = &d.kind {
                 if d.name == name && d.labels.is_empty() {
@@ -668,7 +662,7 @@ impl MetricsRegistry {
     /// Freezes every registered metric into a snapshot (registration
     /// order preserved).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let defs = lock_defs(&self.metrics);
+        let defs = crate::lock_ok(&self.metrics);
         let entries = defs
             .iter()
             .map(|d| SnapEntry {

@@ -639,11 +639,7 @@ pub fn run_parallel(
                     }
                     let (kernel, scale, config) = &jobs[i];
                     let report = run_kernel(*kernel, *scale, config, &RunOptions::default());
-                    // A worker that panicked while holding the lock poisons
-                    // it; the data (one slot per job) is still consistent.
-                    results
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())[i] = Some(report);
+                    crate::lock_ok(results)[i] = Some(report);
                 });
             }
         });

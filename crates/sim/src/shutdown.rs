@@ -5,7 +5,7 @@
 //! through libc's `signal(2)` (already linked by std) that flips one
 //! [`AtomicBool`]. Long-running loops — sweep workers between jobs, the
 //! `svr_serve` accept loop — poll [`requested`] and wind down cleanly:
-//! in-flight jobs finish and are journaled/cached, queued work is surfaced
+//! in-flight jobs finish and are cached, queued work is surfaced
 //! as structured [`crate::SimError::Interrupted`] errors instead of dying
 //! mid-write.
 //!

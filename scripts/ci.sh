@@ -2,8 +2,8 @@
 # Tier-1 verification: build, test, and prove the experiment engine's result
 # cache works end-to-end (a figure binary run twice at the same scale must
 # perform zero simulations the second time), that the watchdog terminates
-# livelocked guests promptly, and that a SIGKILLed sweep resumes from its
-# journal without recomputation.
+# livelocked guests promptly, and that a SIGKILLed sweep resumes from the
+# cache without recomputation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -201,7 +201,7 @@ grep -q "no forward progress" "$OUT_DIR/watchdog.txt" || {
   cat "$OUT_DIR/watchdog.txt" >&2; exit 1; }
 echo "watchdog tripped with exit $rc"
 
-echo "=== kill-and-resume: SIGKILLed sweep resumes from its journal ==="
+echo "=== kill-and-resume: SIGKILLed sweep resumes from the cache ==="
 RESUME_CACHE="$(mktemp -d)"
 RESUME_OUT="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR" "$OUT_DIR" "$RESUME_CACHE" "$RESUME_OUT"' EXIT
@@ -220,16 +220,25 @@ done
 if kill -9 "$sweep_pid" 2>/dev/null; then
   wait "$sweep_pid" 2>/dev/null || true
   echo "killed sweep after $entries cached points"
-  journals=$(find "$RESUME_CACHE/journal" -name '*.journal' 2>/dev/null | wc -l)
-  if [ "$journals" -lt 1 ]; then
-    echo "FAIL: no journal file survived the SIGKILL" >&2; exit 1
+  # The killed sweep's claim files name a dead pid, so the resume steals
+  # them at once; a resume stuck waiting on them would blow this timeout.
+  rc=0
+  SVR_CACHE_DIR="$RESUME_CACHE" timeout 120 ./target/release/fig11_cpi --scale tiny \
+    --json "$RESUME_OUT/resumed.json" > /dev/null || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: resumed sweep exited $rc (124: stalled on a dead holder's claim)" >&2
+    exit 1
   fi
-  SVR_CACHE_DIR="$RESUME_CACHE" ./target/release/fig11_cpi --scale tiny \
-    --json "$RESUME_OUT/resumed.json" > /dev/null
-  jhits=$(grep -o '"journal_hits": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
-  echo "resumed run: journal_hits=$jhits"
-  if [ "${jhits:-0}" -lt 1 ]; then
-    echo "FAIL: resumed sweep replayed no journaled points" >&2; exit 1
+  rsim=$(grep -o '"simulated": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+  rhits=$(grep -o '"cache_hits": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+  rpoints=$(grep -o '"points": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+  echo "resumed run: points=$rpoints simulated=$rsim cache_hits=$rhits"
+  if [ "${rhits:-0}" -lt 1 ]; then
+    echo "FAIL: resumed sweep reused no completed points" >&2; exit 1
+  fi
+  if [ $(( ${rsim:-0} + ${rhits:-0} )) -ne "${rpoints:-0}" ] || [ "${rpoints:-0}" = "0" ]; then
+    echo "FAIL: resumed sweep did not resolve every point (simulated + cache_hits != points)" >&2
+    exit 1
   fi
 else
   # The sweep finished before we could kill it (fast machine): the resumed
@@ -299,7 +308,7 @@ trap 'rm -rf "$CACHE_DIR" "$OUT_DIR" "$RESUME_CACHE" "$RESUME_OUT" "$SERVE_CACHE
 
 start_daemon() {
   ./target/release/svr_serve --addr 127.0.0.1:0 --cache-dir "$SERVE_CACHE" \
-    --workers 2 --claim-timeout 30 --claim-stale 2 > "$1" 2>&1 &
+    --workers 2 --claim-timeout 30 > "$1" 2>&1 &
   serve_pid=$!
   serve_addr=""
   for _ in $(seq 1 100); do
@@ -430,7 +439,7 @@ CHAOS_SPEC='seed=3405691582;stall_ms=20;cache_store_torn=1x1;cache_load_err=1x1'
 CHAOS_SPEC="$CHAOS_SPEC;gc_mid_claim=1x1;worker_panic=1x2;worker_stall=1x1"
 CHAOS_SPEC="$CHAOS_SPEC;conn_slow_read=1x1;conn_drop_chunk=1x2"
 ./target/release/svr_serve --addr 127.0.0.1:0 --cache-dir "$CHAOS_CACHE" \
-  --workers 2 --claim-timeout 30 --claim-stale 30 --sock-timeout 30 \
+  --workers 2 --claim-timeout 30 --sock-timeout 30 \
   --faults "$CHAOS_SPEC" > "$SERVE_OUT/chaos.log" 2>&1 &
 serve_pid=$!
 serve_addr=""
