@@ -2,15 +2,15 @@
 //! optionally augmented with the SVR engine.
 
 use crate::branch::{BranchPredictor, MISPREDICT_PENALTY};
-use crate::pipeline::{IssueSlots, Scoreboard};
+use crate::pipeline::{
+    alu_latency, level_bucket, stall_tag, CoreModel, IssueSlots, RegTable, Scoreboard,
+};
 use crate::stats::{CoreStats, StallBucket};
 use crate::svr::{SvrConfig, SvrEngine};
-use crate::watchdog::{RunError, WatchdogConfig};
-use svr_isa::{
-    AluOp, ArchState, DecodedOp, DecodedProgram, Inst, MicroOp, Outcome, Program, NO_REG, NUM_REGS,
-};
-use svr_mem::{Access, AccessKind, HitLevel, MemConfig, MemImage, MemoryHierarchy};
-use svr_trace::{NullSink, StallTag, TraceEvent, TraceSink};
+use crate::watchdog::{RunError, Watch, WatchdogConfig};
+use svr_isa::{ArchState, DecodedOp, DecodedProgram, Inst, MicroOp, Outcome};
+use svr_mem::{Access, AccessKind, MemConfig, MemImage, MemStats, MemoryHierarchy};
+use svr_trace::{NullSink, TraceEvent, TraceSink};
 
 /// In-order core parameters (defaults = Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub struct Observed<'a> {
 /// # Examples
 ///
 /// ```
-/// use svr_core::{InOrderCore, InOrderConfig};
+/// use svr_core::{CoreModel, InOrderCore, InOrderConfig};
 /// use svr_mem::{MemConfig, MemImage};
 /// use svr_isa::{Assembler, ArchState, Reg};
 ///
@@ -106,22 +106,13 @@ pub struct InOrderCore<S: TraceSink = NullSink> {
     bp: BranchPredictor,
     slots: IssueSlots,
     sb: Scoreboard,
-    reg_ready: [u64; NUM_REGS],
-    reg_bucket: [StallBucket; NUM_REGS],
-    /// Producer PC per register — the *cause* a stall-on-use wait is charged
-    /// to in [`TraceEvent::Attrib`]. Only maintained when tracing is on.
-    reg_pc: [u64; NUM_REGS],
-    flags_ready: u64,
-    flags_pc: u64,
+    regs: RegTable,
     fetch_ready: u64,
     fetch_bucket: StallBucket,
     fetch_pc: u64,
     last_fetch_line: Option<usize>,
     last_issue: u64,
-    /// Issue cycle of the last instruction with an architectural effect
-    /// (register write, memory access, or flags write) — the
-    /// forward-progress watermark.
-    last_effect: u64,
+    watch: Watch,
     max_completion: u64,
     /// Bucket describing what the longest-outstanding completion was waiting
     /// on; the post-run drain tail is charged here so the CPI stack accounts
@@ -131,36 +122,6 @@ pub struct InOrderCore<S: TraceSink = NullSink> {
     tail_pc: u64,
     stats: CoreStats,
     svr: Option<SvrEngine>,
-}
-
-fn alu_latency(op: AluOp) -> u64 {
-    match op {
-        AluOp::Mul => 3,
-        AluOp::Divu | AluOp::Remu => 12,
-        _ => 1,
-    }
-}
-
-fn level_bucket(level: HitLevel) -> StallBucket {
-    match level {
-        HitLevel::L1 => StallBucket::MemL1,
-        HitLevel::L2 => StallBucket::MemL2,
-        HitLevel::Dram => StallBucket::MemDram,
-    }
-}
-
-/// Maps a core stall bucket onto its trace-event tag (the trace crate is a
-/// leaf and defines its own mirror of the enum).
-pub(crate) fn stall_tag(b: StallBucket) -> StallTag {
-    match b {
-        StallBucket::Base => StallTag::Base,
-        StallBucket::Branch => StallTag::Branch,
-        StallBucket::Fetch => StallTag::Fetch,
-        StallBucket::MemL1 => StallTag::MemL1,
-        StallBucket::MemL2 => StallTag::MemL2,
-        StallBucket::MemDram => StallTag::MemDram,
-        StallBucket::Structural => StallTag::Structural,
-    }
 }
 
 impl InOrderCore<NullSink> {
@@ -183,17 +144,13 @@ impl<S: TraceSink> InOrderCore<S> {
             bp: BranchPredictor::new(),
             slots: IssueSlots::new(cfg.width),
             sb: Scoreboard::new(cfg.scoreboard),
-            reg_ready: [0; NUM_REGS],
-            reg_bucket: [StallBucket::Base; NUM_REGS],
-            reg_pc: [0; NUM_REGS],
-            flags_ready: 0,
-            flags_pc: 0,
+            regs: RegTable::new(),
             fetch_ready: 0,
             fetch_bucket: StallBucket::Fetch,
             fetch_pc: 0,
             last_fetch_line: None,
             last_issue: 0,
-            last_effect: 0,
+            watch: Watch::default(),
             max_completion: 0,
             tail_bucket: StallBucket::Base,
             tail_pc: 0,
@@ -210,16 +167,6 @@ impl<S: TraceSink> InOrderCore<S> {
         core
     }
 
-    /// Core statistics accumulated so far.
-    pub fn stats(&self) -> &CoreStats {
-        &self.stats
-    }
-
-    /// Memory-system statistics.
-    pub fn mem_stats(&self) -> &svr_mem::MemStats {
-        self.hier.stats()
-    }
-
     /// The memory hierarchy (e.g. to inspect DRAM traffic).
     pub fn hierarchy(&self) -> &MemoryHierarchy<S> {
         &self.hier
@@ -230,46 +177,95 @@ impl<S: TraceSink> InOrderCore<S> {
         self.svr.as_ref()
     }
 
-    /// Closes the memory hierarchy's prefetch ledger (still-resident
-    /// prefetched lines become `resident_at_end`). Call once after the run
-    /// completes; idempotent.
-    pub fn finalize_mem(&mut self) {
-        self.hier.finalize(self.stats.cycles);
-    }
-
-    /// Runs `program` until `halt` or `max_insts` retired instructions.
-    ///
-    /// `arch` carries initial register state (workloads pre-load base
-    /// addresses) and holds final state afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunError`] if the configured [`WatchdogConfig`] trips:
-    /// the guest issued no architecturally-effectful instruction within the
-    /// progress window, or blew the cycle budget. Statistics and
-    /// architectural state reflect the run up to the trip point.
-    pub fn run(
+    /// Computes the completion time of one instruction and updates
+    /// register-readiness state. Returns the completion cycle and the stall
+    /// bucket that waiting on this completion should be charged to.
+    fn timing_for(
         &mut self,
-        program: &Program,
-        image: &mut MemImage,
-        arch: &mut ArchState,
-        max_insts: u64,
-    ) -> Result<(), RunError> {
-        self.run_decoded(&DecodedProgram::lower(program), image, arch, max_insts)
+        op: &DecodedOp,
+        pc: usize,
+        t: u64,
+        out: &Outcome,
+        image: &MemImage,
+    ) -> (u64, StallBucket) {
+        match op.uop {
+            MicroOp::Ld { .. } | MicroOp::LdX { .. } => {
+                let (_, addr) = out.mem.expect("load accesses memory");
+                let value = out.loaded.expect("load produces a value");
+                let res = self.hier.access_with_image(
+                    Access::new(t, addr, AccessKind::DemandLoad)
+                        .with_pc(pc as u64)
+                        .with_value(value),
+                    Some(image),
+                );
+                if res.issued_at > t {
+                    self.slots.bump(res.issued_at);
+                }
+                self.stats.loads += 1;
+                let bucket = level_bucket(res.level);
+                self.regs.write(op, res.complete_at, bucket, pc, S::ENABLED);
+                (res.complete_at, bucket)
+            }
+            MicroOp::St { .. } | MicroOp::StX { .. } => {
+                let (_, addr) = out.mem.expect("store accesses memory");
+                let res = self.hier.access_with_image(
+                    Access::new(t, addr, AccessKind::DemandStore).with_pc(pc as u64),
+                    Some(image),
+                );
+                if res.issued_at > t {
+                    self.slots.bump(res.issued_at);
+                }
+                self.stats.stores += 1;
+                // Stores retire into the write path; the core does not wait.
+                (t + 1, StallBucket::Base)
+            }
+            MicroOp::Alu { op: alu, .. } | MicroOp::AluI { op: alu, .. } => {
+                let done = t + alu_latency(alu);
+                self.regs.write(op, done, StallBucket::Base, pc, S::ENABLED);
+                (done, StallBucket::Base)
+            }
+            MicroOp::Li { .. } | MicroOp::Nop => {
+                self.regs.write(op, t + 1, StallBucket::Base, pc, S::ENABLED);
+                (t + 1, StallBucket::Base)
+            }
+            MicroOp::Cmp { .. } | MicroOp::CmpI { .. } => {
+                self.regs.write_flags(t + 1, pc, S::ENABLED);
+                (t + 1, StallBucket::Base)
+            }
+            MicroOp::B { .. } => {
+                self.stats.branches += 1;
+                let (taken, _) = out.branch.expect("branch outcome");
+                let pred = self.bp.predict(pc as u64);
+                self.bp.update(pc as u64, taken);
+                if pred != taken {
+                    self.stats.mispredicts += 1;
+                    let redirect = t + 1 + self.cfg.mispredict_penalty;
+                    if redirect > self.fetch_ready {
+                        self.fetch_ready = redirect;
+                        self.fetch_bucket = StallBucket::Branch;
+                        if S::ENABLED {
+                            self.fetch_pc = pc as u64;
+                        }
+                    }
+                    // The fetch line changes on the (mispredicted) path.
+                    self.last_fetch_line = None;
+                }
+                (t + 1, StallBucket::Base)
+            }
+            MicroOp::J { .. } | MicroOp::Halt => (t + 1, StallBucket::Base),
+        }
     }
+}
 
-    /// Runs an already-lowered program (see [`InOrderCore::run`], which
-    /// lowers and delegates here). The hot loop dispatches pre-decoded
-    /// micro-ops by instruction index — no per-cycle decode.
-    pub fn run_decoded(
+impl<S: TraceSink> CoreModel for InOrderCore<S> {
+    fn run_decoded(
         &mut self,
         prog: &DecodedProgram,
         image: &mut MemImage,
         arch: &mut ArchState,
         max_insts: u64,
     ) -> Result<(), RunError> {
-        let budget = self.cfg.watchdog.budget(max_insts);
-        let window = self.cfg.watchdog.window();
+        self.watch.arm(&self.cfg.watchdog, max_insts);
         while self.stats.retired < max_insts && !arch.halted() {
             let pc = arch.pc();
             let Some(op) = prog.get(pc) else { break };
@@ -302,22 +298,9 @@ impl<S: TraceSink> InOrderCore<S> {
             // Data readiness (stall-on-use). `cause_pc` tracks who produced
             // the limiting operand; it is only consumed inside `S::ENABLED`
             // blocks, so untraced builds eliminate it entirely.
-            let mut ready = self.fetch_ready;
-            let mut bucket = self.fetch_bucket;
-            let mut cause_pc = self.fetch_pc;
-            for &r in op.src_indices() {
-                let r = r as usize;
-                if self.reg_ready[r] > ready {
-                    ready = self.reg_ready[r];
-                    bucket = self.reg_bucket[r];
-                    cause_pc = self.reg_pc[r];
-                }
-            }
-            if matches!(op.uop, MicroOp::B { .. }) && self.flags_ready > ready {
-                ready = self.flags_ready;
-                bucket = StallBucket::Base;
-                cause_pc = self.flags_pc;
-            }
+            let (ready, bucket, cause_pc) =
+                self.regs
+                    .scan(op, (self.fetch_ready, self.fetch_bucket, self.fetch_pc));
 
             // Claim an issue slot, then a scoreboard entry.
             let slot_t = self.slots.take(ready);
@@ -362,28 +345,10 @@ impl<S: TraceSink> InOrderCore<S> {
             // `stack.total() == cycles` conservation in sampled mode).
             self.last_issue = self.last_issue.max(t);
 
-            // Watchdog: two u64 compares per instruction (hot-path neutral).
-            if t > budget {
-                return Err(RunError::CycleBudgetExceeded {
-                    pc,
-                    cycles: t,
-                    budget,
-                    retired: self.stats.retired,
-                });
-            }
-            if t.saturating_sub(self.last_effect) > window {
-                return Err(RunError::NoForwardProgress {
-                    pc,
-                    cycle: t,
-                    last_effect: self.last_effect,
-                    window,
-                    stall: bucket,
-                    outstanding_mshrs: self.hier.mshrs_in_flight(t),
-                });
-            }
-            if op.has_effect {
-                self.last_effect = t;
-            }
+            self.watch
+                .check(pc, t, op.has_effect, self.stats.retired, bucket, || {
+                    self.hier.mshrs_in_flight(t)
+                })?;
 
             // Functional execution (`op` was fetched from `pc` above).
             let out: Outcome = arch.step_op(op, image);
@@ -448,111 +413,20 @@ impl<S: TraceSink> InOrderCore<S> {
         Ok(())
     }
 
-    /// Computes the completion time of one instruction and updates
-    /// register-readiness state. Returns the completion cycle and the stall
-    /// bucket that waiting on this completion should be charged to.
-    fn timing_for(
-        &mut self,
-        op: &DecodedOp,
-        pc: usize,
-        t: u64,
-        out: &Outcome,
-        image: &MemImage,
-    ) -> (u64, StallBucket) {
-        match op.uop {
-            MicroOp::Ld { .. } | MicroOp::LdX { .. } => {
-                let (_, addr) = out.mem.expect("load accesses memory");
-                let value = out.loaded.expect("load produces a value");
-                let res = self.hier.access_with_image(
-                    Access::new(t, addr, AccessKind::DemandLoad)
-                        .with_pc(pc as u64)
-                        .with_value(value),
-                    Some(image),
-                );
-                if res.issued_at > t {
-                    self.slots.bump(res.issued_at);
-                }
-                self.stats.loads += 1;
-                if op.dst != NO_REG {
-                    self.reg_ready[op.dst as usize] = res.complete_at;
-                    self.reg_bucket[op.dst as usize] = level_bucket(res.level);
-                    if S::ENABLED {
-                        self.reg_pc[op.dst as usize] = pc as u64;
-                    }
-                }
-                (res.complete_at, level_bucket(res.level))
-            }
-            MicroOp::St { .. } | MicroOp::StX { .. } => {
-                let (_, addr) = out.mem.expect("store accesses memory");
-                let res = self.hier.access_with_image(
-                    Access::new(t, addr, AccessKind::DemandStore).with_pc(pc as u64),
-                    Some(image),
-                );
-                if res.issued_at > t {
-                    self.slots.bump(res.issued_at);
-                }
-                self.stats.stores += 1;
-                // Stores retire into the write path; the core does not wait.
-                (t + 1, StallBucket::Base)
-            }
-            MicroOp::Alu { op: alu, .. } | MicroOp::AluI { op: alu, .. } => {
-                let done = t + alu_latency(alu);
-                if op.dst != NO_REG {
-                    self.reg_ready[op.dst as usize] = done;
-                    self.reg_bucket[op.dst as usize] = StallBucket::Base;
-                    if S::ENABLED {
-                        self.reg_pc[op.dst as usize] = pc as u64;
-                    }
-                }
-                (done, StallBucket::Base)
-            }
-            MicroOp::Li { .. } | MicroOp::Nop => {
-                let done = t + 1;
-                if op.dst != NO_REG {
-                    self.reg_ready[op.dst as usize] = done;
-                    self.reg_bucket[op.dst as usize] = StallBucket::Base;
-                    if S::ENABLED {
-                        self.reg_pc[op.dst as usize] = pc as u64;
-                    }
-                }
-                (done, StallBucket::Base)
-            }
-            MicroOp::Cmp { .. } | MicroOp::CmpI { .. } => {
-                self.flags_ready = t + 1;
-                if S::ENABLED {
-                    self.flags_pc = pc as u64;
-                }
-                (t + 1, StallBucket::Base)
-            }
-            MicroOp::B { .. } => {
-                self.stats.branches += 1;
-                let (taken, _) = out.branch.expect("branch outcome");
-                let pred = self.bp.predict(pc as u64);
-                self.bp.update(pc as u64, taken);
-                if pred != taken {
-                    self.stats.mispredicts += 1;
-                    let redirect = t + 1 + self.cfg.mispredict_penalty;
-                    if redirect > self.fetch_ready {
-                        self.fetch_ready = redirect;
-                        self.fetch_bucket = StallBucket::Branch;
-                        if S::ENABLED {
-                            self.fetch_pc = pc as u64;
-                        }
-                    }
-                    // The fetch line changes on the (mispredicted) path.
-                    self.last_fetch_line = None;
-                }
-                (t + 1, StallBucket::Base)
-            }
-            MicroOp::J { .. } | MicroOp::Halt => (t + 1, StallBucket::Base),
-        }
+    fn stats(&self) -> &CoreStats {
+        &self.stats
+    }
+
+    fn finish(&mut self) -> (MemStats, Result<(), String>) {
+        self.hier.finalize(self.stats.cycles);
+        (*self.hier.stats(), self.hier.check_invariants())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svr_isa::{Assembler, Cond, DataMemory, Reg};
+    use svr_isa::{AluOp, Assembler, Cond, DataMemory, Program, Reg};
 
     fn r(i: u8) -> Reg {
         Reg::new(i)

@@ -11,12 +11,15 @@
 //!
 //! All cores share the functional semantics of [`svr_isa`] and the memory
 //! hierarchy of [`svr_mem`], so runs are architecturally identical across
-//! core models and differ only in timing.
+//! core models and differ only in timing. Every core implements
+//! [`CoreModel`], the one interface drivers use: [`CoreModel::run`] (or
+//! [`CoreModel::run_decoded`] in resumable segments), [`CoreModel::stats`]
+//! and [`CoreModel::finish`].
 //!
 //! # Examples
 //!
 //! ```
-//! use svr_core::{InOrderCore, InOrderConfig, SvrConfig};
+//! use svr_core::{CoreModel, InOrderCore, InOrderConfig, SvrConfig};
 //! use svr_mem::{MemConfig, MemImage};
 //! use svr_isa::{ArchState, Assembler, Reg};
 //!
@@ -34,6 +37,8 @@
 //! let mut arch = ArchState::new();
 //! core.run(&program, &mut image, &mut arch, u64::MAX).unwrap();
 //! assert_eq!(core.stats().retired, 2);
+//! let (_mem, invariants) = core.finish();
+//! assert!(invariants.is_ok());
 //! ```
 
 mod branch;
@@ -47,7 +52,7 @@ mod watchdog;
 pub use branch::{BranchPredictor, MISPREDICT_PENALTY};
 pub use inorder::{InOrderConfig, InOrderCore, Observed, SvrCtx};
 pub use ooo::{OooConfig, OooCore};
-pub use pipeline::{IssueSlots, Scoreboard};
+pub use pipeline::{CoreModel, IssueSlots, Scoreboard};
 pub use stats::{CoreStats, CpiStack, StallBucket, SvrActivity};
 pub use svr::{bit_budget, BitBudget, LoopBoundMode, RecyclePolicy, SvrConfig};
 pub use watchdog::{RunError, WatchdogConfig};

@@ -9,16 +9,15 @@
 //! where the in-order core serializes them.
 
 use crate::branch::{BranchPredictor, MISPREDICT_PENALTY};
-use crate::inorder::stall_tag;
-use crate::pipeline::{IssueSlots, Scoreboard};
+use crate::pipeline::{
+    alu_latency, level_bucket, stall_tag, CoreModel, IssueSlots, RegTable, Scoreboard,
+};
 use crate::stats::{CoreStats, StallBucket};
-use crate::watchdog::{RunError, WatchdogConfig};
+use crate::watchdog::{RunError, Watch, WatchdogConfig};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use svr_isa::{
-    AluOp, ArchState, DecodedProgram, MicroOp, Outcome, Program, NO_REG, NUM_REGS,
-};
-use svr_mem::{Access, AccessKind, FxHasher, HitLevel, MemConfig, MemImage, MemoryHierarchy};
+use svr_isa::{ArchState, DecodedProgram, MicroOp, Outcome};
+use svr_mem::{Access, AccessKind, FxHasher, MemConfig, MemImage, MemStats, MemoryHierarchy};
 use svr_trace::{NullSink, TraceEvent, TraceSink};
 
 /// Out-of-order core parameters (defaults = Table III).
@@ -59,7 +58,7 @@ impl Default for OooConfig {
 /// # Examples
 ///
 /// ```
-/// use svr_core::{OooCore, OooConfig};
+/// use svr_core::{CoreModel, OooCore, OooConfig};
 /// use svr_mem::{MemConfig, MemImage};
 /// use svr_isa::{ArchState, Assembler, Reg};
 ///
@@ -81,12 +80,7 @@ pub struct OooCore<S: TraceSink = NullSink> {
     lsq: Scoreboard,
     dispatch: IssueSlots,
     commit: IssueSlots,
-    reg_ready: [u64; NUM_REGS],
-    reg_bucket: [StallBucket; NUM_REGS],
-    /// Producer PC per register (stall-cause attribution; traced runs only).
-    reg_pc: [u64; NUM_REGS],
-    flags_ready: u64,
-    flags_pc: u64,
+    regs: RegTable,
     fetch_ready: u64,
     last_fetch_line: Option<usize>,
     /// Completion time of the last store per word address (conservative
@@ -94,26 +88,8 @@ pub struct OooCore<S: TraceSink = NullSink> {
     /// probed on every load and written on every store.
     store_fwd: HashMap<u64, u64, BuildHasherDefault<FxHasher>>,
     last_commit: u64,
-    /// Dispatch cycle of the last architecturally-effectful instruction
-    /// (the forward-progress watermark).
-    last_effect: u64,
+    watch: Watch,
     stats: CoreStats,
-}
-
-fn alu_latency(op: AluOp) -> u64 {
-    match op {
-        AluOp::Mul => 3,
-        AluOp::Divu | AluOp::Remu => 12,
-        _ => 1,
-    }
-}
-
-fn level_bucket(level: HitLevel) -> StallBucket {
-    match level {
-        HitLevel::L1 => StallBucket::MemL1,
-        HitLevel::L2 => StallBucket::MemL2,
-        HitLevel::Dram => StallBucket::MemDram,
-    }
 }
 
 impl OooCore<NullSink> {
@@ -133,71 +109,27 @@ impl<S: TraceSink> OooCore<S> {
             lsq: Scoreboard::new(cfg.lsq),
             dispatch: IssueSlots::new(cfg.width),
             commit: IssueSlots::new(cfg.width),
-            reg_ready: [0; NUM_REGS],
-            reg_bucket: [StallBucket::Base; NUM_REGS],
-            reg_pc: [0; NUM_REGS],
-            flags_ready: 0,
-            flags_pc: 0,
+            regs: RegTable::new(),
             fetch_ready: 0,
             last_fetch_line: None,
             store_fwd: HashMap::default(),
             last_commit: 0,
-            last_effect: 0,
+            watch: Watch::default(),
             stats: CoreStats::default(),
             cfg,
         }
     }
+}
 
-    /// Core statistics.
-    pub fn stats(&self) -> &CoreStats {
-        &self.stats
-    }
-
-    /// Memory statistics.
-    pub fn mem_stats(&self) -> &svr_mem::MemStats {
-        self.hier.stats()
-    }
-
-    /// The memory hierarchy.
-    pub fn hierarchy(&self) -> &MemoryHierarchy<S> {
-        &self.hier
-    }
-
-    /// Closes the memory hierarchy's prefetch ledger (still-resident
-    /// prefetched lines become `resident_at_end`). Call once after the run
-    /// completes; idempotent.
-    pub fn finalize_mem(&mut self) {
-        self.hier.finalize(self.stats.cycles);
-    }
-
-    /// Runs `program` until `halt` or `max_insts` retired instructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunError`] when the configured [`WatchdogConfig`] trips
-    /// (no forward progress within the window, or a blown cycle budget).
-    pub fn run(
-        &mut self,
-        program: &Program,
-        image: &mut MemImage,
-        arch: &mut ArchState,
-        max_insts: u64,
-    ) -> Result<(), RunError> {
-        self.run_decoded(&DecodedProgram::lower(program), image, arch, max_insts)
-    }
-
-    /// Runs an already-lowered program (see [`OooCore::run`], which lowers
-    /// and delegates here). The hot loop dispatches pre-decoded micro-ops by
-    /// instruction index — no per-cycle decode.
-    pub fn run_decoded(
+impl<S: TraceSink> CoreModel for OooCore<S> {
+    fn run_decoded(
         &mut self,
         prog: &DecodedProgram,
         image: &mut MemImage,
         arch: &mut ArchState,
         max_insts: u64,
     ) -> Result<(), RunError> {
-        let budget = self.cfg.watchdog.budget(max_insts);
-        let window = self.cfg.watchdog.window();
+        self.watch.arm(&self.cfg.watchdog, max_insts);
         while self.stats.retired < max_insts && !arch.halted() {
             let pc = arch.pc();
             let Some(op) = prog.get(pc) else { break };
@@ -222,45 +154,19 @@ impl<S: TraceSink> OooCore<S> {
             // Operand readiness — *not* bounded by older instructions'
             // completion: this is where the MLP comes from. Rename and
             // wakeup/select add a couple of cycles past dispatch.
-            let mut ready = dispatch_t + self.cfg.rs_delay;
-            let mut bucket = StallBucket::Base;
-            // Only consumed in `S::ENABLED` blocks; dead in untraced builds.
-            let mut cause_pc = 0u64;
-            for &r in op.src_indices() {
-                let r = r as usize;
-                if self.reg_ready[r] > ready {
-                    ready = self.reg_ready[r];
-                    bucket = self.reg_bucket[r];
-                    cause_pc = self.reg_pc[r];
-                }
-            }
-            if matches!(op.uop, MicroOp::B { .. }) && self.flags_ready > ready {
-                ready = self.flags_ready;
-                cause_pc = self.flags_pc;
-            }
+            // `cause_pc` is only consumed in `S::ENABLED` blocks; dead in
+            // untraced builds.
+            let floor = (dispatch_t + self.cfg.rs_delay, StallBucket::Base, 0);
+            let (ready, mut bucket, mut cause_pc) = self.regs.scan(op, floor);
 
-            // Watchdog: two u64 compares per instruction (hot-path neutral).
-            if dispatch_t > budget {
-                return Err(RunError::CycleBudgetExceeded {
-                    pc,
-                    cycles: dispatch_t,
-                    budget,
-                    retired: self.stats.retired,
-                });
-            }
-            if dispatch_t.saturating_sub(self.last_effect) > window {
-                return Err(RunError::NoForwardProgress {
-                    pc,
-                    cycle: dispatch_t,
-                    last_effect: self.last_effect,
-                    window,
-                    stall: bucket,
-                    outstanding_mshrs: self.hier.mshrs_in_flight(dispatch_t),
-                });
-            }
-            if op.has_effect {
-                self.last_effect = dispatch_t;
-            }
+            self.watch.check(
+                pc,
+                dispatch_t,
+                op.has_effect,
+                self.stats.retired,
+                bucket,
+                || self.hier.mshrs_in_flight(dispatch_t),
+            )?;
 
             // `op` was fetched from `pc` above.
             let out: Outcome = arch.step_op(op, image);
@@ -285,24 +191,18 @@ impl<S: TraceSink> OooCore<S> {
                     );
                     self.stats.loads += 1;
                     self.lsq.push(res.complete_at);
-                    if op.dst != NO_REG {
-                        self.reg_ready[op.dst as usize] = res.complete_at;
-                        self.reg_bucket[op.dst as usize] = level_bucket(res.level);
-                        if S::ENABLED {
-                            self.reg_pc[op.dst as usize] = pc as u64;
-                        }
-                    }
-                    res.complete_at
+                    let at = res.complete_at;
+                    self.regs.write(op, at, level_bucket(res.level), pc, S::ENABLED);
+                    at
                 }
                 MicroOp::St { .. } | MicroOp::StX { .. } => {
                     let (_, addr) = out.mem.expect("store address");
                     let lsq_t = self.lsq.admit(dispatch_t);
                     let start = ready.max(lsq_t);
-                    let res = self.hier.access_with_image(
+                    let _ = self.hier.access_with_image(
                         Access::new(start, addr, AccessKind::DemandStore).with_pc(pc as u64),
                         Some(image),
                     );
-                    let _ = res;
                     self.stats.stores += 1;
                     // Forwarding: dependents see the data one cycle after the
                     // store executes.
@@ -312,31 +212,15 @@ impl<S: TraceSink> OooCore<S> {
                 }
                 MicroOp::Alu { op: alu, .. } | MicroOp::AluI { op: alu, .. } => {
                     let done = ready + alu_latency(alu);
-                    if op.dst != NO_REG {
-                        self.reg_ready[op.dst as usize] = done;
-                        self.reg_bucket[op.dst as usize] = StallBucket::Base;
-                        if S::ENABLED {
-                            self.reg_pc[op.dst as usize] = pc as u64;
-                        }
-                    }
+                    self.regs.write(op, done, StallBucket::Base, pc, S::ENABLED);
                     done
                 }
                 MicroOp::Li { .. } | MicroOp::Nop => {
-                    let done = ready + 1;
-                    if op.dst != NO_REG {
-                        self.reg_ready[op.dst as usize] = done;
-                        self.reg_bucket[op.dst as usize] = StallBucket::Base;
-                        if S::ENABLED {
-                            self.reg_pc[op.dst as usize] = pc as u64;
-                        }
-                    }
-                    done
+                    self.regs.write(op, ready + 1, StallBucket::Base, pc, S::ENABLED);
+                    ready + 1
                 }
                 MicroOp::Cmp { .. } | MicroOp::CmpI { .. } => {
-                    self.flags_ready = ready + 1;
-                    if S::ENABLED {
-                        self.flags_pc = pc as u64;
-                    }
+                    self.regs.write_flags(ready + 1, pc, S::ENABLED);
                     ready + 1
                 }
                 MicroOp::B { .. } => {
@@ -368,15 +252,12 @@ impl<S: TraceSink> OooCore<S> {
                     let mut attr_bucket = StallBucket::Base;
                     let mut attr_pc = cause_pc;
                     if delta > 1 {
-                        let b = if completion > ready {
+                        // A branch always charges its own bucket (mispredict
+                        // or operand wait), never structural back-pressure.
+                        let b = if completion > ready || matches!(op.uop, MicroOp::B { .. }) {
                             bucket
                         } else {
                             StallBucket::Structural
-                        };
-                        let b = match op.uop {
-                            MicroOp::Ld { .. } | MicroOp::LdX { .. } => b,
-                            MicroOp::B { .. } => bucket,
-                            _ => b,
                         };
                         self.stats.stack.charge(b, delta - 1);
                         attr_bucket = b;
@@ -407,13 +288,22 @@ impl<S: TraceSink> OooCore<S> {
         }
         Ok(())
     }
+
+    fn stats(&self) -> &CoreStats {
+        &self.stats
+    }
+
+    fn finish(&mut self) -> (MemStats, Result<(), String>) {
+        self.hier.finalize(self.stats.cycles);
+        (*self.hier.stats(), self.hier.check_invariants())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inorder::{InOrderConfig, InOrderCore};
-    use svr_isa::{Assembler, Cond, DataMemory, Reg};
+    use svr_isa::{AluOp, Assembler, Cond, DataMemory, Program, Reg};
 
     fn r(i: u8) -> Reg {
         Reg::new(i)

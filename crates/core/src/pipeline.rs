@@ -1,7 +1,121 @@
-//! Shared pipeline resources: issue-slot accounting and the scoreboard.
+//! Shared pipeline resources: the [`CoreModel`] driver interface, issue-slot
+//! accounting, the scoreboard, and the register-readiness table both cores
+//! use.
 
+use crate::stats::{CoreStats, StallBucket};
+use crate::watchdog::RunError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use svr_isa::{AluOp, ArchState, DecodedOp, DecodedProgram, MicroOp, Program, NO_REG, NUM_REGS};
+use svr_mem::{HitLevel, MemImage, MemStats};
+use svr_trace::StallTag;
+
+/// The interface every core timing model exposes to a driver.
+///
+/// A core keeps all pipeline state in itself and [`CoreModel::run_decoded`]
+/// stops once the *cumulative* retired count reaches `max_insts` (or the
+/// guest halts), so repeated calls with growing targets resume exactly where
+/// the previous segment stopped. A detailed run is one segment; a sampled
+/// run is many, with functional warp gaps in between.
+///
+/// # Examples
+///
+/// ```
+/// use svr_core::{CoreModel, OooConfig, OooCore};
+/// use svr_isa::{ArchState, Assembler, Reg};
+/// use svr_mem::{MemConfig, MemImage};
+///
+/// let mut asm = Assembler::new("t");
+/// asm.li(Reg::new(1), 5);
+/// asm.halt();
+/// let p = asm.finish();
+/// let mut core = OooCore::new(OooConfig::default(), MemConfig::default());
+/// let (mut img, mut arch) = (MemImage::new(), ArchState::new());
+/// core.run(&p, &mut img, &mut arch, u64::MAX).unwrap();
+/// assert_eq!(core.stats().retired, 2);
+/// let (_mem, check) = core.finish();
+/// assert!(check.is_ok());
+/// ```
+pub trait CoreModel {
+    /// Runs an already-lowered program until `max_insts` cumulative retired
+    /// instructions or `halt`. The hot loop dispatches pre-decoded micro-ops
+    /// by instruction index — no per-cycle decode.
+    ///
+    /// `arch` carries initial register state (workloads pre-load base
+    /// addresses) and holds final state afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RunError`] if the core's [`crate::WatchdogConfig`] trips:
+    /// the guest issued no architecturally-effectful instruction within the
+    /// progress window, or blew the cycle budget. Statistics and
+    /// architectural state reflect the run up to the trip point.
+    fn run_decoded(
+        &mut self,
+        prog: &DecodedProgram,
+        image: &mut MemImage,
+        arch: &mut ArchState,
+        max_insts: u64,
+    ) -> Result<(), RunError>;
+
+    /// Core statistics accumulated so far.
+    fn stats(&self) -> &CoreStats;
+
+    /// Closes the memory hierarchy's prefetch ledger (still-resident
+    /// prefetched lines become `resident_at_end`) and runs its cross-counter
+    /// checks; returns the memory statistics and the check verdict. Call once
+    /// after the last segment; idempotent.
+    fn finish(&mut self) -> (MemStats, Result<(), String>);
+
+    /// Lowers `program` and runs it as one segment (see
+    /// [`CoreModel::run_decoded`]).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`CoreModel::run_decoded`].
+    fn run(
+        &mut self,
+        program: &Program,
+        image: &mut MemImage,
+        arch: &mut ArchState,
+        max_insts: u64,
+    ) -> Result<(), RunError> {
+        self.run_decoded(&DecodedProgram::lower(program), image, arch, max_insts)
+    }
+}
+
+/// Execute latency of an ALU operation, cycles.
+pub(crate) fn alu_latency(op: AluOp) -> u64 {
+    match op {
+        AluOp::Mul => 3,
+        AluOp::Divu | AluOp::Remu => 12,
+        _ => 1,
+    }
+}
+
+/// The stall bucket a wait on a memory access served at `level` is charged
+/// to.
+pub(crate) fn level_bucket(level: HitLevel) -> StallBucket {
+    match level {
+        HitLevel::L1 => StallBucket::MemL1,
+        HitLevel::L2 => StallBucket::MemL2,
+        HitLevel::Dram => StallBucket::MemDram,
+    }
+}
+
+/// Maps a core stall bucket onto its trace-event tag (the trace crate is a
+/// leaf and defines its own mirror of the enum).
+pub(crate) fn stall_tag(b: StallBucket) -> StallTag {
+    match b {
+        StallBucket::Base => StallTag::Base,
+        StallBucket::Branch => StallTag::Branch,
+        StallBucket::Fetch => StallTag::Fetch,
+        StallBucket::MemL1 => StallTag::MemL1,
+        StallBucket::MemL2 => StallTag::MemL2,
+        StallBucket::MemDram => StallTag::MemDram,
+        StallBucket::Structural => StallTag::Structural,
+    }
+}
 
 /// Tracks issue bandwidth: at most `width` instructions may issue per cycle,
 /// and issue times are monotonically non-decreasing (in-order issue).
@@ -126,6 +240,87 @@ impl Scoreboard {
     /// Whether no instructions are tracked.
     pub fn is_empty(&self) -> bool {
         self.inflight.is_empty()
+    }
+}
+
+/// Register and flags readiness: when each value becomes available, the
+/// stall bucket a consumer waiting on it is charged to, and the producer PC
+/// (the *cause* in [`svr_trace::TraceEvent::Attrib`]; only maintained when
+/// tracing is on).
+#[derive(Debug, Clone)]
+pub(crate) struct RegTable {
+    ready: [u64; NUM_REGS],
+    bucket: [StallBucket; NUM_REGS],
+    pc: [u64; NUM_REGS],
+    flags_ready: u64,
+    flags_pc: u64,
+}
+
+impl RegTable {
+    pub(crate) fn new() -> Self {
+        RegTable {
+            ready: [0; NUM_REGS],
+            bucket: [StallBucket::Base; NUM_REGS],
+            pc: [0; NUM_REGS],
+            flags_ready: 0,
+            flags_pc: 0,
+        }
+    }
+
+    /// Operand readiness of `op` as `(cycle, bucket, cause_pc)`, starting
+    /// from `floor`: the latest-ready source register wins, and a branch
+    /// also waits on the flags. `cause_pc` is only meaningful when tracing.
+    #[inline]
+    pub(crate) fn scan(
+        &self,
+        op: &DecodedOp,
+        floor: (u64, StallBucket, u64),
+    ) -> (u64, StallBucket, u64) {
+        let (mut ready, mut bucket, mut cause_pc) = floor;
+        for &r in op.src_indices() {
+            let r = r as usize;
+            if self.ready[r] > ready {
+                ready = self.ready[r];
+                bucket = self.bucket[r];
+                cause_pc = self.pc[r];
+            }
+        }
+        if matches!(op.uop, MicroOp::B { .. }) && self.flags_ready > ready {
+            ready = self.flags_ready;
+            bucket = StallBucket::Base;
+            cause_pc = self.flags_pc;
+        }
+        (ready, bucket, cause_pc)
+    }
+
+    /// Marks `op`'s destination register (if any) ready at `at`, charged to
+    /// `bucket`; `traced` (the sink's `ENABLED`) gates the producer PC.
+    #[inline]
+    pub(crate) fn write(
+        &mut self,
+        op: &DecodedOp,
+        at: u64,
+        bucket: StallBucket,
+        pc: usize,
+        traced: bool,
+    ) {
+        if op.dst != NO_REG {
+            let d = op.dst as usize;
+            self.ready[d] = at;
+            self.bucket[d] = bucket;
+            if traced {
+                self.pc[d] = pc as u64;
+            }
+        }
+    }
+
+    /// Marks the flags ready at `at` (a compare).
+    #[inline]
+    pub(crate) fn write_flags(&mut self, at: u64, pc: usize, traced: bool) {
+        self.flags_ready = at;
+        if traced {
+            self.flags_pc = pc as u64;
+        }
     }
 }
 

@@ -793,6 +793,7 @@ impl SvrEngine {
 mod tests {
     use super::*;
     use crate::inorder::{InOrderConfig, InOrderCore};
+    use crate::pipeline::CoreModel;
     use crate::svr::config::LoopBoundMode;
     use svr_isa::{AluOp, ArchState, Assembler, Cond, Program, Reg};
     use svr_mem::{MemConfig, MemImage};
@@ -852,7 +853,7 @@ mod tests {
         assert!(s.prm_rounds > 10, "prm_rounds={}", s.prm_rounds);
         assert!(s.lane_loads > 1000, "lane_loads={}", s.lane_loads);
         assert!(s.waiting_suppressed > 0, "waiting mode must engage");
-        assert!(core.mem_stats().svr.used > 100, "prefetches must be used");
+        assert!(core.hierarchy().stats().svr.used > 100, "prefetches must be used");
     }
 
     #[test]

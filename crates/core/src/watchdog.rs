@@ -77,6 +77,63 @@ impl WatchdogConfig {
     }
 }
 
+/// A core's live watchdog: the thresholds armed for the current run segment
+/// plus the forward-progress watermark, which carries across segments.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Watch {
+    budget: u64,
+    window: u64,
+    /// Issue cycle of the last instruction with an architectural effect
+    /// (register write, memory access, or flags write).
+    last_effect: u64,
+}
+
+impl Watch {
+    /// Arms the thresholds for a run segment capped at `max_insts`.
+    pub(crate) fn arm(&mut self, cfg: &WatchdogConfig, max_insts: u64) {
+        self.budget = cfg.budget(max_insts);
+        self.window = cfg.window();
+    }
+
+    /// The per-instruction check, run as `pc` issues at cycle `t`: two
+    /// `u64` compares (hot-path neutral). `stall` is what the instruction
+    /// waited on and `mshrs` reports outstanding misses, both only for the
+    /// diagnostic.
+    #[inline]
+    pub(crate) fn check(
+        &mut self,
+        pc: usize,
+        t: u64,
+        has_effect: bool,
+        retired: u64,
+        stall: StallBucket,
+        mshrs: impl FnOnce() -> usize,
+    ) -> Result<(), RunError> {
+        if t > self.budget {
+            return Err(RunError::CycleBudgetExceeded {
+                pc,
+                cycles: t,
+                budget: self.budget,
+                retired,
+            });
+        }
+        if t.saturating_sub(self.last_effect) > self.window {
+            return Err(RunError::NoForwardProgress {
+                pc,
+                cycle: t,
+                last_effect: self.last_effect,
+                window: self.window,
+                stall,
+                outstanding_mshrs: mshrs(),
+            });
+        }
+        if has_effect {
+            self.last_effect = t;
+        }
+        Ok(())
+    }
+}
+
 /// Why a core's run loop terminated a guest program early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunError {

@@ -208,7 +208,7 @@ mod tests {
         // The n-th transfer starts at (n-1)*ticks and completes at the start
         // rounded up to a whole cycle plus the access latency.
         let start = (n - 1) * ticks;
-        let expect = start / TICKS_PER_CYCLE + u64::from(start % TICKS_PER_CYCLE != 0) + lat;
+        let expect = start / TICKS_PER_CYCLE + u64::from(!start.is_multiple_of(TICKS_PER_CYCLE)) + lat;
         assert_eq!(last, expect, "drift after {n} transfers");
         assert_eq!(d.reads(), n);
     }
@@ -231,7 +231,7 @@ mod tests {
         }
         let start = (n - 1) * ticks;
         let expect =
-            start / TICKS_PER_CYCLE + u64::from(start % TICKS_PER_CYCLE != 0) + cfg.latency_cycles;
+            start / TICKS_PER_CYCLE + u64::from(!start.is_multiple_of(TICKS_PER_CYCLE)) + cfg.latency_cycles;
         assert_eq!(last, expect);
     }
 }

@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn unmapped_reads_zero() {
         let img = MemImage::new();
-        assert_eq!(img.read_u64(0xdead_beef_000), 0);
+        assert_eq!(img.read_u64(0x0dea_dbee_f000), 0);
         assert_eq!(img.read_u64(0x10), 0);
     }
 

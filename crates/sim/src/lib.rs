@@ -65,8 +65,8 @@ pub use resolve::{
     resolve_point, JobError, JobResult, JobSource, JobTrace, LazyWorkload, PointStore,
 };
 pub use runner::{
-    energy_input, harmonic_mean_speedup, run_kernel, run_parallel, run_workload,
-    run_workload_traced, RunReport, SampledStats,
+    energy_input, harmonic_mean_speedup, run_kernel, run_workload, run_workload_traced,
+    RunReport, SampledStats,
 };
 pub use sweep::{Sweep, SweepResult, SweepStats};
 

@@ -711,19 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_is_deterministic_across_thread_counts() {
-        let jobs: Vec<(Kernel, Scale, SimConfig)> = tiny_suite()
-            .into_iter()
-            .map(|k| (k, Scale::Tiny, SimConfig::svr(16)))
-            .collect();
-        let one = crate::run_parallel(jobs.clone(), 1).expect("jobs valid");
-        for threads in [2, 8] {
-            let many = crate::run_parallel(jobs.clone(), threads).expect("jobs valid");
-            assert_eq!(one, many, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn corrupt_cache_entries_are_quarantined_and_resimulated() {
         let dir = TempDir::new("corrupt");
         let run = || {

@@ -23,25 +23,24 @@ fn main() {
         "{:>4} {:>4} {:12} {:>9} {:>9} {:>9}",
         "N", "K", "bounds", "CPI", "speedup", "KiB"
     );
+    let k = 8usize;
     for n in [8usize, 16, 32, 64, 128] {
-        for (k, mode) in [(8usize, LoopBoundMode::Tournament)] {
-            let cfg = SimConfig::svr_with(SvrConfig {
-                srf_entries: k,
-                loop_bound_mode: mode,
-                ..SvrConfig::with_length(n)
-            });
-            let r = run_kernel(kernel, scale, &cfg, &RunOptions::default()).expect("valid config");
-            assert!(r.verified);
-            println!(
-                "{:>4} {:>4} {:12} {:>9.2} {:>8.2}x {:>9.2}",
-                n,
-                k,
-                "tournament",
-                r.cpi(),
-                base.core.cycles as f64 / r.core.cycles as f64,
-                bit_budget(n as u64, k as u64).total_kib(),
-            );
-        }
+        let cfg = SimConfig::svr_with(SvrConfig {
+            srf_entries: k,
+            loop_bound_mode: LoopBoundMode::Tournament,
+            ..SvrConfig::with_length(n)
+        });
+        let r = run_kernel(kernel, scale, &cfg, &RunOptions::default()).expect("valid config");
+        assert!(r.verified);
+        println!(
+            "{:>4} {:>4} {:12} {:>9.2} {:>8.2}x {:>9.2}",
+            n,
+            k,
+            "tournament",
+            r.cpi(),
+            base.core.cycles as f64 / r.core.cycles as f64,
+            bit_budget(n as u64, k as u64).total_kib(),
+        );
     }
     println!();
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use svr::core::{InOrderConfig, InOrderCore, SvrConfig};
+use svr::core::{CoreModel, InOrderConfig, InOrderCore, SvrConfig};
 use svr::isa::{AluOp, ArchState, Assembler, Cond, DataMemory, Reg};
 use svr::mem::{MemConfig, MemImage};
 
@@ -86,6 +86,6 @@ fn main() {
         base.stats().cycles as f64 / svr_core.stats().cycles as f64,
         svr_core.stats().svr.prm_rounds,
         svr_core.stats().svr.lanes,
-        svr_core.mem_stats().svr.accuracy().unwrap_or(f64::NAN) * 100.0
+        svr_core.hierarchy().stats().svr.accuracy().unwrap_or(f64::NAN) * 100.0
     );
 }

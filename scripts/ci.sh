@@ -11,7 +11,7 @@ echo "=== cargo build --release ==="
 cargo build --release --workspace
 
 echo "=== cargo clippy -D warnings ==="
-cargo clippy --workspace --release -- -D warnings
+cargo clippy --workspace --release --all-targets -- -D warnings
 
 echo "=== cargo test -q ==="
 cargo test --workspace -q --release

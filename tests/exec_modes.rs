@@ -7,7 +7,7 @@
 //! of that, the `MemImage` checkpoint/restore machinery must round-trip
 //! through real run segments so fast-forward-then-rewind is trustworthy.
 
-use svr::core::{InOrderCore, InOrderConfig, OooConfig, OooCore};
+use svr::core::{CoreModel, InOrderConfig, InOrderCore, OooConfig, OooCore, SvrConfig};
 use svr::isa::{DataMemory, DecodedProgram};
 use svr::mem::MemConfig;
 use svr::sim::{run_workload, ExecMode, RunOptions, SimConfig};
@@ -90,6 +90,28 @@ fn warp_run_workload_verifies_every_workload() {
         assert!(warp.verified, "{}: warp failed verification", w.name);
         assert_eq!(warp.core.retired, detailed.core.retired, "{}", w.name);
         assert_eq!(warp.core.cycles, 0, "{}: warp must not model time", w.name);
+    }
+}
+
+/// Metamorphic check across core models: an SVR engine whose stride
+/// confidence threshold (4) is above what the 2-bit counter can reach (3)
+/// never qualifies a striding load, so it never enters runahead and the SVR
+/// core must time every workload exactly like the plain in-order core.
+#[test]
+fn svr_that_never_runs_ahead_matches_inorder_exactly() {
+    let never = SimConfig::svr_with(SvrConfig {
+        stride_confidence: 4,
+        ..SvrConfig::with_length(16)
+    });
+    let opts = RunOptions::detailed(Scale::Tiny.max_insts());
+    for kernel in all_kernels() {
+        let w = kernel.build(Scale::Tiny);
+        let base = run_workload(&w, &SimConfig::inorder(), &opts).expect("InO runs");
+        let svr = run_workload(&w, &never, &opts).expect("SVR16 runs");
+        assert_eq!(svr.core.svr.prm_rounds, 0, "{}: runahead started", w.name);
+        assert_eq!(svr.core.cycles, base.core.cycles, "{}: cycles", w.name);
+        assert_eq!(svr.core.stack, base.core.stack, "{}: CPI stack", w.name);
+        assert_eq!(svr.mem, base.mem, "{}: memory stats", w.name);
     }
 }
 
