@@ -28,9 +28,9 @@
 
 use std::path::{Path, PathBuf};
 
-use svr_bench::{config_from_label, kernel_from_name, usage, BenchArgs};
+use svr_bench::{usage, BenchArgs};
 use svr_sim::{golden_diff, run_workload, run_workload_traced, Json, Profiler, RunOptions, RunReport, SimConfig};
-use svr_workloads::Scale;
+use svr_workloads::{Kernel, Scale};
 
 /// Relative tolerance for float metrics in the golden gate.
 const GOLDEN_REL_TOL: f64 = 1e-6;
@@ -103,10 +103,10 @@ fn golden_metrics(r: &RunReport) -> Json {
 fn golden_actual() -> Json {
     let mut runs = Vec::new();
     for wl in GOLDEN_WORKLOADS {
-        let kernel = kernel_from_name(wl).unwrap_or_else(|| fail(&format!("unknown kernel {wl}")));
+        let kernel = Kernel::from_name(wl).unwrap_or_else(|| fail(&format!("unknown kernel {wl}")));
         let workload = kernel.build(Scale::Tiny);
         for cfg in GOLDEN_CONFIGS {
-            let config = config_from_label(cfg)
+            let config = SimConfig::from_label(cfg)
                 .unwrap_or_else(|| fail(&format!("unknown config {cfg}")));
             let report = run_workload(&workload, &config, &RunOptions::detailed(Scale::Tiny.max_insts()))
                 .unwrap_or_else(|e| sim_fail(&e));
@@ -219,9 +219,9 @@ fn main() {
     }
     let wl_name = args.positional.first().map_or("HJ8", String::as_str);
     let cfg_label = args.positional.get(1).map_or("SVR16", String::as_str);
-    let kernel = kernel_from_name(wl_name)
+    let kernel = Kernel::from_name(wl_name)
         .unwrap_or_else(|| fail(&format!("unknown workload {wl_name} (try dump_workload --list)")));
-    let config: SimConfig = config_from_label(cfg_label)
+    let config: SimConfig = SimConfig::from_label(cfg_label)
         .unwrap_or_else(|| fail(&format!("unknown config {cfg_label} (InO|IMP|OoO|SVR<n>)")));
 
     let workload = kernel.build(args.scale);

@@ -18,9 +18,10 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
 
-use svr_bench::{config_from_label, kernel_from_name, usage, BenchArgs};
+use svr_bench::{usage, BenchArgs};
 use svr_sim::{run_workload, run_workload_traced, Json, RunOptions, SimConfig};
 use svr_trace::{PerfettoSink, StallTag, WindowReport, WindowedMetrics};
+use svr_workloads::Kernel;
 
 fn fail(msg: &str) -> ! {
     eprintln!("svr_trace_dump: {msg}");
@@ -87,9 +88,9 @@ fn main() {
 
     let wl_name = args.positional.first().map_or("PR_KR", String::as_str);
     let cfg_label = args.positional.get(1).map_or("SVR16", String::as_str);
-    let kernel = kernel_from_name(wl_name)
+    let kernel = Kernel::from_name(wl_name)
         .unwrap_or_else(|| fail(&format!("unknown workload {wl_name} (try dump_workload --list)")));
-    let mut config: SimConfig = config_from_label(cfg_label)
+    let mut config: SimConfig = SimConfig::from_label(cfg_label)
         .unwrap_or_else(|| fail(&format!("unknown config {cfg_label} (InO|IMP|OoO|SVR<n>)")));
     if let Some(n) = args.trace_interval {
         config.trace.interval = n;

@@ -6,7 +6,9 @@
 //! into `results/<name>.json`.
 
 use std::path::PathBuf;
-use svr_sim::{ExecMode, Json, RunOptions, RunReport, SimConfig, Sweep, SweepResult, SweepStats};
+use svr_sim::{
+    log, ExecMode, Json, RunOptions, RunReport, SimConfig, Sweep, SweepResult, SweepStats,
+};
 use svr_workloads::{Kernel, Scale};
 
 pub mod chart;
@@ -177,9 +179,11 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// Parses the process command line; prints usage and exits with status 2
-    /// on a bad flag, or 0 on `--help`.
+    /// Parses the process command line; logs a `bad_args` error and exits
+    /// with status 2 on a bad flag, or prints usage and exits 0 on `--help`.
+    /// `SVR_LOG` sets the stderr log threshold ([`svr_sim::log`]).
     pub fn parse(bin: &str) -> BenchArgs {
+        log::init_from_env();
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", usage(bin));
@@ -192,7 +196,13 @@ impl BenchArgs {
         match BenchArgs::try_parse(&args) {
             Ok(parsed) => parsed,
             Err(e) => {
-                eprintln!("{bin}: {e}\n\n{}", usage(bin));
+                log::error(
+                    "bad_args",
+                    &[
+                        ("error", Json::str(e)),
+                        ("help", Json::str(format!("{bin} --help"))),
+                    ],
+                );
                 std::process::exit(2);
             }
         }
@@ -266,30 +276,10 @@ pub fn paper_configs() -> Vec<SimConfig> {
     ]
 }
 
-/// Resolves a kernel by its display name (`PR_KR`, `Camel`, `HJ8`, ...),
-/// searching the irregular and regular suites plus the diagnostic kernels
-/// (`DiagSpin`, `DiagPanic` — used by the CI watchdog smoke test).
-pub fn kernel_from_name(name: &str) -> Option<Kernel> {
-    let mut all = svr_workloads::irregular_suite();
-    all.extend(svr_workloads::regular_suite());
-    all.push(Kernel::DiagSpin);
-    all.push(Kernel::DiagPanic);
-    all.into_iter().find(|k| k.name() == name)
-}
-
 /// Resolves a core configuration by its display label (`InO`, `IMP`, `OoO`,
-/// `SVR16`, ...). Covers the paper configurations plus any plain `SVR<n>`
-/// vector length.
+/// `SVR16`, ...); see [`SimConfig::from_label`].
 pub fn config_from_label(label: &str) -> Option<SimConfig> {
-    if let Some(c) = paper_configs().into_iter().find(|c| c.label() == label) {
-        return Some(c);
-    }
-    label
-        .strip_prefix("SVR")?
-        .parse::<usize>()
-        .ok()
-        .filter(|n| (1..=128).contains(n))
-        .map(SimConfig::svr)
+    SimConfig::from_label(label)
 }
 
 /// Asserts all runs passed their architectural checks (capped runs pass by
@@ -428,7 +418,8 @@ impl Figure {
         }
     }
 
-    /// Writes the JSON report and prints the sweep summary to stderr.
+    /// Writes the JSON report and logs a `sweep_done` event carrying the
+    /// sweep counters and the report path.
     ///
     /// # Panics
     ///
@@ -463,7 +454,6 @@ impl Figure {
                 })
                 .collect(),
         );
-        let stats = &self.sweep;
         let doc = Json::Obj(vec![
             ("name".into(), Json::str(&self.name)),
             ("title".into(), Json::str(&self.title)),
@@ -473,18 +463,7 @@ impl Figure {
                 "notes".into(),
                 Json::Arr(self.notes.iter().map(Json::str).collect()),
             ),
-            (
-                "sweep".into(),
-                Json::Obj(vec![
-                    ("pairs".into(), Json::u64(stats.pairs as u64)),
-                    ("points".into(), Json::u64(stats.points as u64)),
-                    ("simulated".into(), Json::u64(stats.simulated as u64)),
-                    ("cache_hits".into(), Json::u64(stats.cache_hits as u64)),
-                    ("failed".into(), Json::u64(stats.failed as u64)),
-                    ("deduped".into(), Json::u64(stats.deduped as u64)),
-                    ("wall_ms".into(), Json::u64(stats.wall_ms)),
-                ]),
-            ),
+            ("sweep".into(), self.sweep.to_json()),
             (
                 "runs".into(),
                 Json::Arr(self.runs.iter().map(svr_sim::report_to_json).collect()),
@@ -497,8 +476,13 @@ impl Figure {
         }
         std::fs::write(&self.json_path, doc.pretty())
             .unwrap_or_else(|e| panic!("write {}: {e}", self.json_path.display()));
-        eprintln!("{}", self.sweep.summary());
-        eprintln!("[sweep] report: {}", self.json_path.display());
+        log::info(
+            "sweep_done",
+            &[
+                ("sweep", self.sweep.to_json()),
+                ("report", Json::str(self.json_path.display().to_string())),
+            ],
+        );
     }
 }
 
@@ -647,19 +631,6 @@ mod tests {
         assert!(BenchArgs::try_parse(&strs(&["--trace="])).is_err());
         assert!(BenchArgs::try_parse(&strs(&["--trace-interval", "0"])).is_err());
         assert!(BenchArgs::try_parse(&strs(&["--trace-interval"])).is_err());
-    }
-
-    #[test]
-    fn kernel_and_config_lookup() {
-        use svr_workloads::GraphInput;
-        assert_eq!(kernel_from_name("PR_KR"), Some(Kernel::Pr(GraphInput::Kr)));
-        assert_eq!(kernel_from_name("Camel"), Some(Kernel::Camel));
-        assert_eq!(kernel_from_name("nope"), None);
-        assert_eq!(config_from_label("InO").map(|c| c.label()).as_deref(), Some("InO"));
-        assert_eq!(config_from_label("SVR16").map(|c| c.label()).as_deref(), Some("SVR16"));
-        assert_eq!(config_from_label("SVR24").map(|c| c.label()).as_deref(), Some("SVR24"));
-        assert!(config_from_label("SVR0").is_none());
-        assert!(config_from_label("bogus").is_none());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! ```text
 //! svr_client submit   --addr HOST:PORT [--client NAME] [--stream] POINT...
 //! svr_client status   --addr HOST:PORT
-//! svr_client stats    --addr HOST:PORT
 //! svr_client metrics  --addr HOST:PORT
 //! svr_client shutdown --addr HOST:PORT
 //! svr_client run-local [--cache-dir DIR] POINT
@@ -18,10 +17,9 @@
 //! responses are retried with jittered exponential backoff, honoring the
 //! server's `Retry-After` header — a full queue is a "later", not an error
 //! (resubmission is safe: the daemon dedups by content hash).
-//! `stats` renders a human-readable summary of the daemon's observability
-//! registry (counters, gauges, latency percentiles) from `GET /v1/stats`;
-//! `metrics` prints the raw Prometheus text exposition from
-//! `GET /v1/metrics` verbatim, for piping into a scraper or `grep`.
+//! `metrics` prints the Prometheus text exposition of the daemon's
+//! observability registry from `GET /v1/metrics` verbatim, for piping into
+//! a scraper or `grep`.
 //! `run-local` bypasses the daemon
 //! entirely: it claims the point in the shared on-disk store and simulates
 //! only on a claim win — two racing `run-local` processes (or a `run-local`
@@ -48,7 +46,6 @@ fn retry_policy() -> http::RetryPolicy {
 fn usage() -> String {
     "usage:\n  svr_client submit   --addr HOST:PORT [--client NAME] [--stream] POINT...\n  \
      svr_client status   --addr HOST:PORT\n  \
-     svr_client stats    --addr HOST:PORT\n  \
      svr_client metrics  --addr HOST:PORT\n  \
      svr_client shutdown --addr HOST:PORT\n  \
      svr_client run-local [--cache-dir DIR] POINT\n\
@@ -179,81 +176,6 @@ fn simple_get(args: &[String], method: &str, path: &str) -> Result<i32, String> 
     Ok(if resp.status == 200 { 0 } else { 1 })
 }
 
-/// `GET /v1/stats`, rendered as an aligned human summary: one line per
-/// metric, histograms as `count/p50/p99/max`.
-fn stats(args: &[String]) -> Result<i32, String> {
-    let mut addr = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--addr" {
-            addr = it.next().cloned();
-        }
-    }
-    let addr = addr.ok_or_else(usage)?;
-    let resp = http::request(&addr, "GET", "/v1/stats", None, TIMEOUT, |_| {})?;
-    let text = String::from_utf8_lossy(&resp.body).to_string();
-    if resp.status != 200 {
-        eprintln!("stats failed ({}): {text}", resp.status);
-        return Ok(1);
-    }
-    let doc = Json::parse(&text).map_err(|e| format!("bad response: {e}"))?;
-    if let Some(status) = doc.get("status") {
-        let field = |k: &str| status.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "jobs: accepted={} joined={} simulated={} cached={} errors={} rejected={}",
-            field("accepted"),
-            field("joined"),
-            field("simulated"),
-            field("cached"),
-            field("errors"),
-            field("rejected"),
-        );
-    }
-    let entries = doc
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .ok_or("response missing metrics array")?;
-    for e in entries {
-        let Some(name) = e.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let labels = match e.get("labels") {
-            Some(Json::Obj(pairs)) => {
-                let parts: Vec<String> = pairs
-                    .iter()
-                    .map(|(k, v)| format!("{k}={}", v.as_str().unwrap_or("?")))
-                    .collect();
-                format!("{{{}}}", parts.join(","))
-            }
-            _ => String::new(),
-        };
-        match e.get("type").and_then(Json::as_str) {
-            Some("histogram") => {
-                let f = |k: &str| e.get(k).and_then(Json::as_u64).unwrap_or(0);
-                println!(
-                    "{name}{labels}: count={} p50={}us p90={}us p99={}us max={}us",
-                    f("count"),
-                    f("p50"),
-                    f("p90"),
-                    f("p99"),
-                    f("max"),
-                );
-            }
-            _ => {
-                let v = e
-                    .get("value")
-                    .map(|v| match v {
-                        Json::Num(n) => n.clone(),
-                        other => other.dump(),
-                    })
-                    .unwrap_or_else(|| "?".into());
-                println!("{name}{labels}: {v}");
-            }
-        }
-    }
-    Ok(0)
-}
-
 fn run_local(args: &[String]) -> Result<i32, String> {
     let mut cache_dir = None;
     let mut point = None;
@@ -315,7 +237,6 @@ fn run() -> Result<i32, String> {
     match cmd.as_str() {
         "submit" => submit(rest),
         "status" => simple_get(rest, "GET", "/v1/status"),
-        "stats" => stats(rest),
         "metrics" => simple_get(rest, "GET", "/v1/metrics"),
         "shutdown" => simple_get(rest, "POST", "/v1/shutdown"),
         "run-local" => run_local(rest),

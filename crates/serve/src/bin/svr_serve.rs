@@ -21,17 +21,16 @@
 //! correct — that is the point — but injected stalls and retries cost
 //! time). Fired faults are reported on stderr at drain.
 //!
-//! Diagnostics go to stderr as structured JSON lines (see `svr_serve::log`);
+//! Diagnostics go to stderr as structured JSON lines (see `svr_sim::log`);
 //! `--log-level` (or `SVR_LOG`; the flag wins) sets the threshold, default
 //! `info`. The stdout `listening on <addr>` line is part of the scriptable
 //! interface and is never silenced.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
-use svr_serve::log;
 use svr_serve::{Server, ServerConfig};
 use svr_sim::json::Json;
-use svr_sim::shutdown;
+use svr_sim::{log, shutdown};
 
 fn usage() -> String {
     "usage: svr_serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] \

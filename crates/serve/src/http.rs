@@ -448,7 +448,7 @@ pub fn request_with_retry(
             Err(e) => return Err(format!("{e} (after {attempts} attempts)")),
         };
         let jittered = jitter(sleep, &mut rng);
-        crate::log::warn(
+        svr_sim::log::warn(
             "client_retry",
             &[
                 ("method", Json::str(method)),

@@ -17,11 +17,16 @@
 //! * [`server`] — registry, per-client round-robin queues with bounded
 //!   admission, the worker pool, the pending-work journal and drain
 //!   lifecycle.
+//!
+//! Diagnostics go through the host-wide structured logger, [`svr_sim::log`]
+//! (re-exported here as `svr_serve::log`), so the daemon's stderr carries
+//! the sweep-layer events of the resolver it shares with bench sweeps.
 
 pub mod http;
-pub mod log;
 pub mod protocol;
 pub mod server;
+
+pub use svr_sim::log;
 
 pub use protocol::{PointSpec, ProtoError, ResolvedPoint};
 pub use server::{Admission, Job, Phase, Server, ServerConfig};

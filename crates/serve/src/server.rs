@@ -29,7 +29,6 @@
 //! restarted daemon re-enqueues everything found in the pending directory —
 //! points that completed before the kill resolve instantly from the cache.
 
-use crate::log;
 use crate::protocol::{error_body, parse_submit, PointSpec, ProtoError, ResolvedPoint};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -40,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use svr_sim::fault::{self, FaultSite};
 use svr_sim::json::Json;
+use svr_sim::log;
 use svr_sim::metrics::{
     CacheMetrics, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
 };
@@ -383,7 +383,7 @@ impl Counters {
 }
 
 /// The service-tier instrument cluster: one registry (behind
-/// `GET /v1/metrics` and `GET /v1/stats`) plus hot-path handles. All
+/// `GET /v1/metrics`) plus hot-path handles. All
 /// recording is relaxed atomics; all formatting happens at scrape time.
 pub struct ServeMetrics {
     /// The registry everything below is registered in.
@@ -457,7 +457,7 @@ pub struct Server {
     draining: AtomicBool,
     /// Counters for `/v1/status`.
     pub counters: Counters,
-    /// The observability cluster behind `/v1/metrics` and `/v1/stats`.
+    /// The observability cluster behind `/v1/metrics`.
     pub metrics: ServeMetrics,
 }
 
@@ -660,10 +660,10 @@ impl Server {
         ])
     }
 
-    /// Freezes every metric for `/v1/metrics` and `/v1/stats`: gauges are
-    /// set from authoritative scheduler state first (no incremental drift),
-    /// then armed fault sites are appended as `fault_fired_total{site=...}`
-    /// so the fault layer and the metrics layer attest each other.
+    /// Freezes every metric for `/v1/metrics`: gauges are set from
+    /// authoritative scheduler state first (no incremental drift), then
+    /// armed fault sites are appended as `fault_fired_total{site=...}` so
+    /// the fault layer and the metrics layer attest each other.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let queued: i64 = {
             let sched = lock_ok(&self.sched);
@@ -979,21 +979,6 @@ impl Server {
                     body.as_bytes(),
                 );
             }
-            ("GET", "/v1/stats") => {
-                let body = Json::Obj(vec![
-                    ("status".into(), self.status_json()),
-                    ("metrics".into(), self.metrics_snapshot().to_json()),
-                ])
-                .pretty();
-                let _ = crate::http::respond(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    &[],
-                    body.as_bytes(),
-                );
-            }
             ("POST", "/v1/shutdown") => {
                 let body = Json::Obj(vec![("draining".into(), Json::Bool(true))]).pretty();
                 let _ = crate::http::respond(
@@ -1238,7 +1223,6 @@ fn route_label(method: &str, path: &str) -> &'static str {
         ("GET", "/v1/healthz") => "healthz",
         ("GET", "/v1/status") => "status",
         ("GET", "/v1/metrics") => "metrics",
-        ("GET", "/v1/stats") => "stats",
         ("POST", "/v1/shutdown") => "shutdown",
         ("GET", p) if p.starts_with("/v1/jobs/") && p.ends_with("/stream") => "job_stream",
         ("GET", p) if p.starts_with("/v1/jobs/") => "job_get",

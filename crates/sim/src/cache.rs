@@ -22,6 +22,7 @@
 use crate::config::SimConfig;
 use crate::fault::{self, FaultSite};
 use crate::json::Json;
+use crate::log;
 use crate::metrics::CacheMetrics;
 use crate::options::{ExecMode, RunOptions};
 use crate::report::{report_from_json, report_to_json};
@@ -488,7 +489,8 @@ fn holder_dead(path: &Path) -> bool {
     Path::new("/proc/self").exists() && !Path::new(&format!("/proc/{pid}")).exists()
 }
 
-/// Moves a corrupt cache entry aside (best-effort) and warns.
+/// Moves a corrupt cache entry aside (best-effort) and logs a
+/// `cache_quarantined` warning; the caller re-simulates the point.
 fn quarantine(dir: &Path, path: &Path, reason: &str) {
     let qdir = dir.join("quarantine");
     let moved = std::fs::create_dir_all(&qdir).is_ok()
@@ -496,14 +498,13 @@ fn quarantine(dir: &Path, path: &Path, reason: &str) {
             .file_name()
             .map(|n| std::fs::rename(path, qdir.join(n)).is_ok())
             .unwrap_or(false);
-    eprintln!(
-        "[sweep] warning: corrupt cache entry {} ({reason}); {} — will re-simulate",
-        path.display(),
-        if moved {
-            "quarantined to quarantine/"
-        } else {
-            "could not quarantine it"
-        }
+    log::warn(
+        "cache_quarantined",
+        &[
+            ("path", Json::str(path.display().to_string())),
+            ("reason", Json::str(reason)),
+            ("moved", Json::Bool(moved)),
+        ],
     );
 }
 

@@ -29,6 +29,7 @@ mod config;
 mod crash;
 mod error;
 pub mod fault;
+pub mod log;
 pub mod metrics;
 mod options;
 mod profile;

@@ -1,4 +1,5 @@
-//! Leveled structured JSON logging for the service tier.
+//! Leveled structured JSON logging for the host side: the daemon, sweeps
+//! and the harness binaries share this one stderr stream.
 //!
 //! Every line is one JSON object on stderr:
 //!
@@ -12,8 +13,10 @@
 //! * `level` — `error` < `warn` < `info` < `debug`; the threshold comes
 //!   from `--log-level` or the `SVR_LOG` environment variable (flag wins),
 //!   default `info`. Disabled levels cost one relaxed atomic load.
-//! * `event` — a stable machine-matchable name; the per-job span events
-//!   are `job_queued` → `job_claimed` → `job_simulated` → `job_streamed`.
+//! * `event` — a stable machine-matchable name; the daemon's per-job span
+//!   events are `job_queued` → `job_claimed` → `job_simulated` →
+//!   `job_streamed`, a sweep logs `job_resolved` (debug) per point and
+//!   `sweep_done` at the end.
 //! * per-connection request IDs (`req`) from [`next_request_id`] tie the
 //!   request line to everything that happened while serving it.
 //!
@@ -22,16 +25,16 @@
 //! is a process-wide concern. Lines are written whole via a locked stderr
 //! handle so concurrent connection threads never interleave mid-line.
 
+use crate::json::Json;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-use svr_sim::json::Json;
 
 /// Log severity, ordered `Error < Warn < Info < Debug`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// The daemon cannot do what it was asked.
+    /// The process cannot do what it was asked.
     Error = 1,
     /// Degraded but proceeding (retries, job errors).
     Warn = 2,

@@ -1,7 +1,7 @@
 //! Dependency-free observability primitives for the sweep and service
 //! tiers: atomic counters, gauges, and HDR-style log₂ latency histograms,
-//! collected in a global-free [`MetricsRegistry`] that snapshots into both
-//! hand-rolled JSON and the Prometheus text exposition format.
+//! collected in a global-free [`MetricsRegistry`] that snapshots into the
+//! Prometheus text exposition format.
 //!
 //! Design constraints (see DESIGN.md §12):
 //!
@@ -25,7 +25,6 @@
 //! upper edge* of the selected bucket — a true bound ("p99 ≤ this"), never
 //! an interpolated guess — and the max is tracked exactly.
 
-use crate::json::Json;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -66,7 +65,7 @@ pub fn bucket_bounds(idx: usize) -> (u64, u64) {
     (lower, lower.saturating_add(width - 1))
 }
 
-/// A monotonically increasing counter (relaxed atomics; merge by adding).
+/// A monotonically increasing counter (relaxed atomics).
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -161,8 +160,7 @@ impl Histogram {
     }
 }
 
-/// A frozen copy of a [`Histogram`]: mergeable (element-wise addition, so
-/// merging is associative and commutative) and queryable for quantiles.
+/// A frozen copy of a [`Histogram`], queryable for quantiles.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistSnapshot {
     /// Per-bucket sample counts (`HIST_BUCKETS` long, or empty for zero).
@@ -176,20 +174,6 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Folds `other` into `self` (element-wise; associative).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        // Wrapping, like the recorder's atomic fetch_add (still associative).
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
     /// The inclusive upper bound of the bucket holding the sample at rank
     /// `ceil(q · count)` — an exact "q-quantile ≤ this" statement, not an
     /// interpolation. Returns 0 for an empty histogram; `q ≥ 1` returns
@@ -249,7 +233,7 @@ pub struct SnapEntry {
     pub value: SnapValue,
 }
 
-/// A frozen, mergeable view of a registry (plus any entries appended at
+/// A frozen view of a registry (plus any entries appended at
 /// scrape time — the server injects fault-site counters and
 /// authoritative gauges this way).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -277,73 +261,6 @@ impl MetricsSnapshot {
             labels: own_labels(labels),
             value: SnapValue::Gauge(v),
         });
-    }
-
-    /// Folds `other` into `self`: entries with the same (name, labels) are
-    /// combined (counters/gauges add, histograms merge element-wise), new
-    /// entries are appended. Associative, since every combine rule is.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for e in &other.entries {
-            match self
-                .entries
-                .iter_mut()
-                .find(|m| m.name == e.name && m.labels == e.labels)
-            {
-                Some(mine) => match (&mut mine.value, &e.value) {
-                    (SnapValue::Counter(a), SnapValue::Counter(b)) => *a += b,
-                    (SnapValue::Gauge(a), SnapValue::Gauge(b)) => *a += b,
-                    (SnapValue::Hist(a), SnapValue::Hist(b)) => a.merge(b),
-                    // Kind mismatch: keep ours (malformed input, not worth
-                    // crashing a monitoring path over).
-                    _ => {}
-                },
-                None => self.entries.push(e.clone()),
-            }
-        }
-    }
-
-    /// Renders the snapshot as a JSON array of metric objects (histograms
-    /// carry count/sum/max and the exact-bound p50/p90/p99).
-    pub fn to_json(&self) -> Json {
-        let arr = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut obj = vec![("name".to_string(), Json::str(&e.name))];
-                if !e.labels.is_empty() {
-                    obj.push((
-                        "labels".to_string(),
-                        Json::Obj(
-                            e.labels
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::str(v)))
-                                .collect(),
-                        ),
-                    ));
-                }
-                match &e.value {
-                    SnapValue::Counter(v) => {
-                        obj.push(("type".to_string(), Json::str("counter")));
-                        obj.push(("value".to_string(), Json::u64(*v)));
-                    }
-                    SnapValue::Gauge(v) => {
-                        obj.push(("type".to_string(), Json::str("gauge")));
-                        obj.push(("value".to_string(), Json::Num(v.to_string())));
-                    }
-                    SnapValue::Hist(h) => {
-                        obj.push(("type".to_string(), Json::str("histogram")));
-                        obj.push(("count".to_string(), Json::u64(h.count)));
-                        obj.push(("sum".to_string(), Json::u64(h.sum)));
-                        obj.push(("max".to_string(), Json::u64(h.max)));
-                        obj.push(("p50".to_string(), Json::u64(h.p50())));
-                        obj.push(("p90".to_string(), Json::u64(h.p90())));
-                        obj.push(("p99".to_string(), Json::u64(h.p99())));
-                    }
-                }
-                Json::Obj(obj)
-            })
-            .collect();
-        Json::Arr(arr)
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
@@ -782,40 +699,6 @@ mod tests {
                     "round {round}: bound {bound} not from truth's bucket (true={truth})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_is_associative() {
-        let mut rng = Rng64::new(42);
-        let mk = |rng: &mut Rng64| {
-            let h = Histogram::default();
-            for _ in 0..rng.below(100) {
-                h.record(rng.next_u64() >> rng.below(50));
-            }
-            let mut s = MetricsSnapshot::default();
-            s.push_counter("c_total", "", &[], rng.below(1000));
-            s.push_counter("labeled_total", "", &[("site", "x")], rng.below(10));
-            s.push_gauge("g", "", &[], rng.below(50) as i64 - 25);
-            s.entries.push(SnapEntry {
-                name: "h_us".into(),
-                help: String::new(),
-                labels: Vec::new(),
-                value: SnapValue::Hist(h.snapshot()),
-            });
-            s
-        };
-        for _ in 0..20 {
-            let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
-            // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut right = a.clone();
-            right.merge(&bc);
-            assert_eq!(left, right);
         }
     }
 

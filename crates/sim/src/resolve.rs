@@ -17,6 +17,8 @@ use crate::config::SimConfig;
 use crate::crash::write_crash_dump;
 use crate::error::SimError;
 use crate::fault::{self, FaultSite};
+use crate::json::Json;
+use crate::log;
 use crate::options::RunOptions;
 use crate::panic_message;
 use crate::runner::{run_workload_traced, RunReport};
@@ -257,7 +259,16 @@ fn simulate_point<S: TraceSink>(
     };
     let crash_dump = crash_dir.and_then(|dir| {
         write_crash_dump(dir, &workload.name, &config.label(), key, &error, &ring)
-            .map_err(|e| eprintln!("[sweep] warning: could not write crash dump: {e}"))
+            .inspect_err(|e| {
+                log::warn(
+                    "crash_dump_failed",
+                    &[
+                        ("workload", Json::str(&workload.name)),
+                        ("config", Json::str(config.label())),
+                        ("error", Json::str(e.to_string())),
+                    ],
+                )
+            })
             .ok()
     });
     Err(JobError {

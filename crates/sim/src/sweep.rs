@@ -31,15 +31,15 @@
 //!     .run(8);
 //! res.assert_verified();
 //! println!("speedup {:.2}", res.speedup(0, 1));
-//! eprintln!("{}", res.stats.summary());
 //! ```
 
 use crate::cache::{point_key, PointKey, ResultCache, CLAIM_TIMEOUT};
 use crate::config::{ConfigError, SimConfig};
 use crate::crash::default_crash_dir;
 use crate::error::SimError;
+use crate::json::Json;
 use crate::lock_ok;
-use crate::metrics::CacheMetrics;
+use crate::log;
 use crate::options::{ExecMode, RunOptions};
 use crate::resolve::{
     resolve_point, JobError, JobResult, JobSource, JobTrace, LazyWorkload, PointStore,
@@ -77,24 +77,20 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// One-line human summary (binaries print this to stderr).
-    pub fn summary(&self) -> String {
-        let interrupted = if self.interrupted > 0 {
-            format!(" interrupted={}", self.interrupted)
-        } else {
-            String::new()
-        };
-        format!(
-            "[sweep] pairs={} points={} simulated={} cached={} \
-             failed={}{interrupted} deduped={} wall={:.1}s",
-            self.pairs,
-            self.points,
-            self.simulated,
-            self.cache_hits,
-            self.failed,
-            self.deduped,
-            self.wall_ms as f64 / 1e3
-        )
+    /// The counters as one JSON object: the `sweep` block of a figure's
+    /// JSON report and the payload of the `sweep_done` log event.
+    pub fn to_json(&self) -> Json {
+        let n = |v: usize| Json::u64(v as u64);
+        Json::Obj(vec![
+            ("pairs".into(), n(self.pairs)),
+            ("points".into(), n(self.points)),
+            ("simulated".into(), n(self.simulated)),
+            ("cache_hits".into(), n(self.cache_hits)),
+            ("failed".into(), n(self.failed)),
+            ("interrupted".into(), n(self.interrupted)),
+            ("deduped".into(), n(self.deduped)),
+            ("wall_ms".into(), Json::u64(self.wall_ms)),
+        ])
     }
 }
 
@@ -109,7 +105,6 @@ pub struct Sweep {
     crash_dir: Option<PathBuf>,
     on_job: Option<fn(&JobTrace)>,
     stop: Option<Arc<AtomicBool>>,
-    metrics: Option<Arc<CacheMetrics>>,
 }
 
 impl Sweep {
@@ -127,7 +122,6 @@ impl Sweep {
             crash_dir: Some(default_crash_dir()),
             on_job: None,
             stop: None,
-            metrics: None,
         }
     }
 
@@ -204,20 +198,10 @@ impl Sweep {
 
     /// Adds a sweep-local stop flag, checked alongside the process-wide
     /// [`crate::shutdown`] flag: when either is set, workers stop claiming
-    /// points and surface the remainder as [`SimError::Interrupted`]. The
-    /// simulation server drains individual sweeps this way without asking
-    /// the whole process to shut down (and tests interrupt deterministically
-    /// without touching global state).
+    /// points and surface the remainder as [`SimError::Interrupted`]. Tests
+    /// interrupt deterministically this way without touching global state.
     pub fn stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.stop = Some(flag);
-        self
-    }
-
-    /// Attaches a cache instrument cluster (see [`CacheMetrics`]): claim
-    /// resolutions, stores and GC evictions performed by this sweep are
-    /// counted into it. Out-of-band — reports and cache bytes are unaffected.
-    pub fn metrics(mut self, metrics: Arc<CacheMetrics>) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -235,9 +219,10 @@ impl Sweep {
     ///
     /// When a shutdown signal (SIGINT/SIGTERM, with
     /// [`crate::shutdown::install`]ed handlers) arrives mid-sweep, the sweep
-    /// stops starting new points, prints the partial summary, and exits the
-    /// process with status 130 — the conventional interrupted-by-signal code
-    /// — instead of panicking over the unfinished points. Completed points
+    /// stops starting new points, logs a `sweep_interrupted` warning with
+    /// the partial counters, and exits the process with status 130 — the
+    /// conventional interrupted-by-signal code — instead of panicking over
+    /// the unfinished points. Completed points
     /// are cached, so re-running the identical command resumes where this
     /// one stopped. Library callers that need to survive an interruption
     /// should use [`Sweep::try_run`] and inspect
@@ -245,11 +230,15 @@ impl Sweep {
     pub fn run(self, threads: usize) -> SweepResult {
         let res = self.try_run(threads).unwrap_or_else(|e| panic!("{e}"));
         if res.stats.interrupted > 0 {
-            eprintln!("{}", res.stats.summary());
-            eprintln!(
-                "[sweep] interrupted by signal: {} of {} points unresolved; \
-                 completed points are cached — re-run the same command to resume",
-                res.stats.interrupted, res.stats.points
+            log::warn(
+                "sweep_interrupted",
+                &[
+                    ("sweep", res.stats.to_json()),
+                    (
+                        "hint",
+                        Json::str("completed points are cached; re-run the same command to resume"),
+                    ),
+                ],
             );
             std::process::exit(130);
         }
@@ -322,13 +311,7 @@ impl Sweep {
                 None => groups.push((p.kernel, vec![i])),
             }
         }
-        let cache = self.cache_dir.as_ref().map(|dir| {
-            let cache = ResultCache::new(dir);
-            match &self.metrics {
-                Some(m) => cache.with_metrics(Arc::clone(m)),
-                None => cache,
-            }
-        });
+        let cache = self.cache_dir.as_ref().map(ResultCache::new);
         let store = cache.as_ref().map(|cache| PointStore {
             cache,
             claim_timeout: CLAIM_TIMEOUT,
@@ -430,19 +413,23 @@ fn interrupt_failure(kernel: &Kernel, config: String) -> (JobTrace, JobResult) {
     )
 }
 
+/// Reports one resolved point to the progress hook and the debug log.
 fn emit(hook: &Option<fn(&JobTrace)>, trace: &JobTrace) {
     if let Some(f) = hook {
         f(trace);
     }
-    if std::env::var_os("SVR_SWEEP_LOG").is_some() {
-        eprintln!(
-            "[sweep] {:10} {:9.1} ms  {} / {}",
-            format!("{:?}", trace.source).to_lowercase(),
-            trace.wall_ms,
-            trace.workload,
-            trace.config
-        );
-    }
+    log::debug(
+        "job_resolved",
+        &[
+            ("workload", Json::str(&trace.workload)),
+            ("config", Json::str(&trace.config)),
+            (
+                "source",
+                Json::str(format!("{:?}", trace.source).to_lowercase()),
+            ),
+            ("wall_ms", Json::f64(trace.wall_ms)),
+        ],
+    );
 }
 
 /// The resolved grid of a [`Sweep`], indexed `[config][workload]` in the
@@ -829,7 +816,7 @@ mod tests {
         assert_eq!(first.stats.interrupted, 2);
         assert_eq!(first.stats.simulated, 0);
         assert_eq!(first.stats.failed, 0, "interruption is not failure");
-        assert!(first.stats.summary().contains("interrupted=2"));
+        assert_eq!(first.stats.to_json().get("interrupted"), Some(&Json::u64(2)));
         let err = first.try_report(0, 0).expect_err("point was interrupted");
         assert!(
             matches!(err.error, SimError::Interrupted { .. }),
@@ -923,7 +910,7 @@ mod tests {
         assert_eq!(res.traces.len(), 3);
         assert!(res.traces.iter().all(|t| t.source == JobSource::Simulated));
         assert!(res.traces.iter().all(|t| t.wall_ms >= 0.0));
-        assert!(res.stats.summary().contains("simulated=3"));
+        assert_eq!(res.stats.to_json().get("simulated"), Some(&Json::u64(3)));
     }
 
     #[test]

@@ -223,31 +223,39 @@ if kill -9 "$sweep_pid" 2>/dev/null; then
   # The killed sweep's claim files name a dead pid, so the resume steals
   # them at once; a resume stuck waiting on them would blow this timeout.
   rc=0
-  SVR_CACHE_DIR="$RESUME_CACHE" timeout 120 ./target/release/fig11_cpi --scale tiny \
-    --json "$RESUME_OUT/resumed.json" > /dev/null || rc=$?
+  SVR_LOG=debug SVR_CACHE_DIR="$RESUME_CACHE" timeout 120 ./target/release/fig11_cpi \
+    --scale tiny --json "$RESUME_OUT/resumed.json" > /dev/null \
+    2> "$RESUME_OUT/resumed.log" || rc=$?
   if [ "$rc" -ne 0 ]; then
     echo "FAIL: resumed sweep exited $rc (124: stalled on a dead holder's claim)" >&2
     exit 1
   fi
-  rsim=$(grep -o '"simulated": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
-  rhits=$(grep -o '"cache_hits": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
-  rpoints=$(grep -o '"points": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
-  echo "resumed run: points=$rpoints simulated=$rsim cache_hits=$rhits"
-  if [ "${rhits:-0}" -lt 1 ]; then
-    echo "FAIL: resumed sweep reused no completed points" >&2; exit 1
-  fi
-  if [ $(( ${rsim:-0} + ${rhits:-0} )) -ne "${rpoints:-0}" ] || [ "${rpoints:-0}" = "0" ]; then
-    echo "FAIL: resumed sweep did not resolve every point (simulated + cache_hits != points)" >&2
-    exit 1
-  fi
 else
   # The sweep finished before we could kill it (fast machine): the resumed
-  # run is then simply a full cache hit, which the comparison below and the
+  # run is then simply a full cache hit, which the checks below and the
   # earlier cache check still validate.
   wait "$sweep_pid" || { echo "FAIL: initial resume-check sweep failed" >&2; exit 1; }
   echo "sweep finished before the kill; falling through to the identity check"
-  SVR_CACHE_DIR="$RESUME_CACHE" ./target/release/fig11_cpi --scale tiny \
-    --json "$RESUME_OUT/resumed.json" > /dev/null
+  SVR_LOG=debug SVR_CACHE_DIR="$RESUME_CACHE" ./target/release/fig11_cpi --scale tiny \
+    --json "$RESUME_OUT/resumed.json" > /dev/null 2> "$RESUME_OUT/resumed.log"
+fi
+rsim=$(grep -o '"simulated": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+rhits=$(grep -o '"cache_hits": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+rpoints=$(grep -o '"points": *[0-9]*' "$RESUME_OUT/resumed.json" | grep -o '[0-9]*$')
+echo "resumed run: points=$rpoints simulated=$rsim cache_hits=$rhits"
+if [ "${rhits:-0}" -lt 1 ]; then
+  echo "FAIL: resumed sweep reused no completed points" >&2; exit 1
+fi
+if [ $(( ${rsim:-0} + ${rhits:-0} )) -ne "${rpoints:-0}" ] || [ "${rpoints:-0}" = "0" ]; then
+  echo "FAIL: resumed sweep did not resolve every point (simulated + cache_hits != points)" >&2
+  exit 1
+fi
+# SVR_LOG=debug logs one structured job_resolved event per resolved point.
+rjobs=$(grep -c '"event":"job_resolved"' "$RESUME_OUT/resumed.log" || true)
+echo "resumed run logged $rjobs job_resolved events"
+if [ "$rjobs" != "$rpoints" ]; then
+  echo "FAIL: expected $rpoints job_resolved events, got $rjobs" >&2
+  cat "$RESUME_OUT/resumed.log" >&2; exit 1
 fi
 # The resumed run's figure must be bit-identical to the earlier from-scratch
 # run once the per-run sweep counters (wall time, hit/miss split) are
