@@ -23,15 +23,18 @@
 //!
 //! Accepted-but-unfinished jobs are journaled as one file each under
 //! `<cache>/serve-pending/`; the file is removed when the job reaches a
-//! terminal state. A drain (SIGTERM/SIGINT via [`svr_sim::shutdown`], or
-//! `POST /v1/shutdown`) stops accepting, lets in-flight jobs finish, marks
-//! still-queued jobs interrupted (their journal entries remain), and a
-//! restarted daemon re-enqueues everything found in the pending directory —
-//! points that completed before the kill resolve instantly from the cache.
+//! terminal state. Every drain goes through [`Server::begin_drain`]:
+//! `POST /v1/shutdown` and programmatic callers call it directly, and a
+//! SIGTERM/SIGINT ([`svr_sim::shutdown`]) reaches it through the worker pool,
+//! whose idle wait notices the signal flag. The drain stops accepting, lets
+//! in-flight jobs finish, marks still-queued jobs interrupted (their journal
+//! entries remain), and a restarted daemon re-enqueues everything found in
+//! the pending directory — points that completed before the kill resolve
+//! instantly from the cache.
 
 use crate::protocol::{error_body, parse_submit, PointSpec, ProtoError, ResolvedPoint};
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -225,7 +228,9 @@ impl Job {
     /// the state at subscription time; the receiver sees every event
     /// emitted after the replay (replay and subscription happen under one
     /// lock, so no transition is lost, and a subscriber that arrives after
-    /// the job finished still sees the full progress feed).
+    /// the job finished still sees the full progress feed). A terminal job
+    /// emits nothing more, so its replay already ends with the terminal line
+    /// and the receiver is not registered.
     pub fn subscribe(&self) -> (mpsc::Receiver<String>, Vec<String>) {
         let (tx, rx) = mpsc::channel();
         let mut inner = lock_ok(&self.inner);
@@ -234,7 +239,9 @@ impl Job {
         if replay.last() != Some(&now) {
             replay.push(now);
         }
-        inner.subs.push(tx);
+        if !inner.phase.terminal() {
+            inner.subs.push(tx);
+        }
         (rx, replay)
     }
 
@@ -455,6 +462,10 @@ pub struct Server {
     sched: Mutex<Sched>,
     wake: Condvar,
     draining: AtomicBool,
+    /// The address [`Server::serve`]'s blocked `accept` listens on while the
+    /// accept loop runs; [`Server::begin_drain`] connects to it once to wake
+    /// that `accept`.
+    accept_addr: Mutex<Option<SocketAddr>>,
     /// Counters for `/v1/status`.
     pub counters: Counters,
     /// The observability cluster behind `/v1/metrics`.
@@ -482,6 +493,7 @@ impl Server {
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             draining: AtomicBool::new(false),
+            accept_addr: Mutex::new(None),
             counters,
             metrics,
         })
@@ -502,10 +514,24 @@ impl Server {
     }
 
     /// Begins a drain: stop accepting, finish in-flight work, journal the
-    /// rest. Idempotent.
+    /// rest. The single drain entry point — `/v1/shutdown`, programmatic
+    /// callers and (through the workers) shutdown signals all come here.
+    /// Sets the flag, wakes the workers, and the first call makes one
+    /// loopback connection to the listener so the blocked `accept` in
+    /// [`Server::serve`] returns and sees the flag. Idempotent.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.wake.notify_all();
+        // Read under the lock `serve` records the address with: either this
+        // sees the address, or `serve` sees the flag before its first accept.
+        let addr = *lock_ok(&self.accept_addr);
+        if let Some(addr) = addr {
+            // If accepted, the wake connection goes to a handler like any
+            // other and ends at EOF; an error means the loop has gone.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// Submits one validated point for `client`. The caller resolves the
@@ -701,7 +727,12 @@ impl Server {
                     sched = guard;
                 }
             };
-            let Some(job) = job else { return };
+            let Some(job) = job else {
+                // A shutdown signal only sets the process-wide flag, which
+                // the blocked accept cannot see: relay it as a drain.
+                self.begin_drain();
+                return;
+            };
             self.process(&job);
         }
     }
@@ -851,8 +882,14 @@ impl Server {
     /// worker pool, accepts one-request connections, and on drain joins the
     /// workers and journals unfinished work. Returns only after a clean
     /// drain.
+    ///
+    /// The accept loop blocks in `accept`; [`Server::begin_drain`] wakes it
+    /// with one loopback connection. Every accepted connection is handed to
+    /// a handler, and the backlog is FIFO, so a connection established
+    /// before the drain's wake connection is still answered (503 from
+    /// `/v1/healthz`, for instance).
     pub fn serve(self: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
+        *lock_ok(&self.accept_addr) = Some(loopback(listener.local_addr()?));
         let workers: Vec<std::thread::JoinHandle<()>> = (0..self.cfg.workers.max(1))
             .map(|_| {
                 let srv = Arc::clone(self);
@@ -866,13 +903,14 @@ impl Server {
                     let srv = Arc::clone(self);
                     conns.push(std::thread::spawn(move || srv.handle_conn(stream)));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                // Out of descriptors (EMFILE) and the like: back off briefly
+                // rather than spin.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
             conns.retain(|h| !h.is_finished());
         }
+        // The loop is over: later drain calls have no accept to wake.
+        *lock_ok(&self.accept_addr) = None;
         self.begin_drain();
         for w in workers {
             let _ = w.join();
@@ -1208,6 +1246,16 @@ fn relay_events(
         }
     }
     true
+}
+
+/// The address a local client reaches `addr` at: a wildcard bind
+/// (`0.0.0.0`, `::`) becomes the loopback address of its family.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
+    }
 }
 
 /// Saturating microseconds of a duration (histogram/log unit).
@@ -1557,6 +1605,41 @@ mod tests {
             true
         }));
         assert_eq!(late.last(), sent.last());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wake_address_maps_only_wildcard_binds_to_loopback() {
+        let at = |s: &str| s.parse::<SocketAddr>().expect("address");
+        assert_eq!(loopback(at("0.0.0.0:7878")), at("127.0.0.1:7878"));
+        assert_eq!(loopback(at("[::]:7878")), at("[::1]:7878"));
+        assert_eq!(loopback(at("10.1.2.3:7878")), at("10.1.2.3:7878"));
+    }
+
+    #[test]
+    fn streaming_a_finished_job_registers_no_subscriber() {
+        let (cfg, dir) = temp_cfg("nosub");
+        let srv = Server::new(cfg);
+        let s = spec("Camel", "InO");
+        let r = s.resolve().expect("valid");
+        let (job, _) = srv.submit("alice", &s, &r).expect("ok");
+        job.finish_done("cached", Json::Null);
+        for _ in 0..2 {
+            let (rx, replay) = job.subscribe();
+            let mut sent = Vec::new();
+            assert!(relay_events(replay, rx, |line| {
+                sent.push(line.to_string());
+                true
+            }));
+            assert!(
+                sent.last().is_some_and(|l| l.contains("\"terminal\":true")),
+                "the replay ends with the terminal line: {sent:?}"
+            );
+        }
+        assert!(
+            lock_ok(&job.inner).subs.is_empty(),
+            "a finished job emits nothing more, so it must hold no sender"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -265,10 +265,10 @@ fn healthz_reports_ready_then_draining() {
     assert_eq!(doc.get("draining").and_then(Json::as_bool), Some(false));
 
     // Once draining, readiness flips to 503 so load balancers stop routing.
-    // The accept loop stops at drain, so pre-open the connection: accepted
-    // connections are still answered during the drain.
+    // The accept loop stops at drain, so pre-open the connection: it sits
+    // ahead of the drain's wake connection in the backlog, so it is still
+    // accepted and answered.
     let mut held = TcpStream::connect(&addr).expect("connect before drain");
-    std::thread::sleep(Duration::from_millis(300)); // let the accept loop take it
     srv.begin_drain();
     held.write_all(format!("GET /v1/healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
         .expect("send healthz");

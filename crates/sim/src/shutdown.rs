@@ -3,11 +3,13 @@
 //! The registry is vendored and offline, so there is no `signal_hook` /
 //! `ctrlc` to lean on; instead we register a minimal `extern "C"` handler
 //! through libc's `signal(2)` (already linked by std) that flips one
-//! [`AtomicBool`]. Long-running loops — sweep workers between jobs, the
-//! `svr_serve` accept loop — poll [`requested`] and wind down cleanly:
-//! in-flight jobs finish and are cached, queued work is surfaced
-//! as structured [`crate::SimError::Interrupted`] errors instead of dying
-//! mid-write.
+//! [`AtomicBool`]. Long-running loops check [`requested`] where they already
+//! wake — sweep workers between jobs, `svr_serve`'s workers in their idle
+//! wait, which turn the signal into the daemon's one drain call — and wind
+//! down cleanly: in-flight jobs finish and are cached, queued work is
+//! surfaced as structured [`crate::SimError::Interrupted`] errors instead
+//! of dying mid-write. The handler never interrupts a blocking call:
+//! glibc's `signal(2)` installs it with `SA_RESTART`.
 //!
 //! Installing is idempotent and opt-in: library code never installs
 //! handlers behind a caller's back (a test harness may own SIGINT), the
@@ -66,7 +68,7 @@ pub fn requested() -> bool {
 }
 
 /// Programmatic shutdown request — same effect as receiving SIGTERM. Used
-/// by the server's `/v1/shutdown` endpoint and by tests.
+/// by tests that exercise the signal path.
 pub fn request() {
     REQUESTED.store(true, Ordering::SeqCst);
 }

@@ -434,6 +434,34 @@ if [ "$rc" -ne 0 ]; then
 fi
 echo "server smoke: dedup, streaming, resume and clean drain all verified"
 
+echo "=== signal drain: SIGTERM drains the daemon cleanly ==="
+# The signal handler only sets a flag and never interrupts the blocking
+# accept; the workers relay it into the drain. The daemon must exit 0 within
+# 5 s and log its drained line.
+start_daemon "$SERVE_OUT/serve_term.log"
+./target/release/svr_client submit --addr "$serve_addr" --client erin \
+  Camel:InO > /dev/null
+kill -TERM "$serve_pid"
+for _ in $(seq 1 50); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "FAIL: daemon still running 5 s after SIGTERM" >&2
+  kill -9 "$serve_pid" 2>/dev/null || true
+  cat "$SERVE_OUT/serve_term.log" >&2; exit 1
+fi
+rc=0
+wait "$serve_pid" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "FAIL: SIGTERM-drained daemon exited $rc (expected 0)" >&2
+  cat "$SERVE_OUT/serve_term.log" >&2; exit 1
+fi
+grep -q '"event":"drained"' "$SERVE_OUT/serve_term.log" || {
+  echo "FAIL: SIGTERM-drained daemon logged no drained event" >&2
+  cat "$SERVE_OUT/serve_term.log" >&2; exit 1; }
+echo "signal drain: exit 0 and a drained event after SIGTERM"
+
 echo "=== chaos smoke: faulted daemon keeps exactly-once and drains clean ==="
 # A fixed fault schedule (seeded, probability-1 rules with per-site caps, so
 # the run is fully deterministic) tears a cache store, fails a cache load,
